@@ -90,9 +90,9 @@ def as_tensor(x) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.value, dtype=g.dtype)
-    t.grad = t.grad + g
+    # the first gradient is kept as given and may share memory with
+    # another node's, so gradients are never updated in place
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -154,8 +154,8 @@ def matmul(a, b) -> Tensor:
     out_val = a.value @ b.value
 
     def backward(g):
-        _accum(a, g @ b.value.T)
-        _accum(b, a.value.T @ g)
+        _accum(a, g @ np.swapaxes(b.value, -1, -2))
+        _accum(b, np.swapaxes(a.value, -1, -2) @ g)
 
     return Tensor(out_val, parents=(a, b), backward=backward)
 

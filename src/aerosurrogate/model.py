@@ -7,7 +7,7 @@ role-flag input channel (surface=1, volume=0). A single forward pass
 produces all three predictions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 import json
 import math
@@ -91,16 +91,15 @@ class ModelState:
     """All trainable parameters plus normalization stats and config.
 
     params maps dotted names to ndarrays; insertion order is the canonical
-    checkpoint order.
+    checkpoint order. Layer i's fields are the entries "layers.{i}.<field>".
     """
 
     config: ModelConfig
     stats: NormalizationStats
     params: dict[str, np.ndarray]
-    layer_templates: list[LayerParams] = field(default_factory=list)
 
     def layer_params(self, i: int) -> LayerParams:
-        return self.layer_templates[i]
+        return LayerParams.lookup(self.params, f"layers.{i}.", self.config.heads)
 
 
 @dataclass(frozen=True)
@@ -130,11 +129,9 @@ def init_model(config: ModelConfig,
     params["embedding.w"] = uniform((config.input_width, c), config.input_width)
     params["embedding.b"] = np.zeros(c, dtype=dtype)
 
-    layers = []
     for li in range(config.layers):
         lp = init_layer_params(c, config.slices, config.heads, config.ffn,
                                rng, dtype=dtype)
-        layers.append(lp)
         for name, arr in lp.named_arrays():
             params[f"layers.{li}.{name}"] = arr
 
@@ -147,15 +144,7 @@ def init_model(config: ModelConfig,
 
     return ModelState(config=config,
                       stats=stats or NormalizationStats.identity(),
-                      params=params, layer_templates=layers)
-
-
-def _rebind_layers(state: ModelState) -> None:
-    """Point each LayerParams field at the (possibly replaced) arrays in
-    state.params so both views stay consistent."""
-    for li, lp in enumerate(state.layer_templates):
-        for name, _ in lp.named_arrays():
-            setattr(lp, name, state.params[f"layers.{li}.{name}"])
+                      params=params)
 
 
 def _input_features(config: ModelConfig, cloud: PointCloud, role_flag: float,
@@ -188,11 +177,12 @@ def forward_graph(state: ModelState, surface: PointCloud,
 
     Returns (drag, pressure, velocity) Tensors; velocity is None when no
     volume points are supplied. Inputs are assumed already normalized with
-    the model's stats.
+    the model's stats. params_t maps parameter names to Tensors (training);
+    by default the ndarrays of state.params are used.
     """
     config = state.config
     dtype = config.dtype
-    t = params_t or {name: Tensor(arr) for name, arr in state.params.items()}
+    t = state.params if params_t is None else params_t
 
     n_s = surface.n_points
     feats = [_input_features(config, surface, 1.0, dtype)]
@@ -204,9 +194,8 @@ def forward_graph(state: ModelState, surface: PointCloud,
 
     x = ad.add(ad.matmul(x, t["embedding.w"]), t["embedding.b"])
     for li in range(config.layers):
-        layer_t = {name: t[f"layers.{li}.{name}"]
-                   for name, _ in state.layer_templates[li].named_arrays()}
-        x = attention_block_t(x, state.layer_templates[li], layer_t)
+        layer = LayerParams.lookup(t, f"layers.{li}.", config.heads)
+        x = attention_block_t(x, layer)
 
     surf_feats = ad.getitem(x, slice(0, n_s))
     pooled = ad.mean(surf_feats, axis=0, keepdims=True)
@@ -281,32 +270,46 @@ def save_checkpoint(state: ModelState, path) -> None:
     Path(path).write_bytes(data)
 
 
-def load_checkpoint(path) -> ModelState:
-    data = Path(path).read_bytes()
-    if data[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {data[:8]!r}")
+def _read_header(data: bytes, path) -> tuple[ModelConfig, NormalizationStats,
+                                             list[tuple], int]:
+    """Decode and validate the JSON header; every failure is a
+    CheckpointError. Returns the config, the stats, the tensor table as
+    (name, shape, dtype, offset) tuples, and where the blobs start."""
     try:
         end = data.index(b"\n", 8)
     except ValueError:
         raise CheckpointError(f"{path}: truncated header") from None
-    header = json.loads(data[8:end].decode("ascii"))
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {header.get('version')}")
-    config = ModelConfig.from_dict(header["config"])
-    stats = NormalizationStats.from_dict(header["stats"])
-    blob_start = end + 1 + ((-(end + 1)) % _ALIGN)
+    try:
+        header = json.loads(data[8:end].decode("ascii"))
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"{path}: unsupported version {header.get('version')}")
+        config = ModelConfig.from_dict(header["config"])
+        stats = NormalizationStats.from_dict(header["stats"])
+        table = [(str(e["name"]), tuple(int(d) for d in e["shape"]),
+                  np.dtype(e["dtype"]), int(e["offset"]))
+                 for e in header["tensors"]]
+    except CheckpointError:
+        raise
+    except (ValueError, TypeError, KeyError, AttributeError) as e:
+        raise CheckpointError(f"{path}: bad header: {e!r}") from e
+    return config, stats, table, end + 1 + ((-(end + 1)) % _ALIGN)
+
+
+def load_checkpoint(path) -> ModelState:
+    data = Path(path).read_bytes()
+    if data[:8] != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic {data[:8]!r}")
+    config, stats, table, blob_start = _read_header(data, path)
 
     state = init_model(config, stats)
     expected = {name: arr.shape for name, arr in state.params.items()}
     loaded: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        name = entry["name"]
-        shape = tuple(entry["shape"])
-        dt = np.dtype(entry["dtype"])
+    for name, shape, dt, offset in table:
         count = int(np.prod(shape)) if shape else 1
-        lo = blob_start + entry["offset"]
+        lo = blob_start + offset
         hi = lo + count * dt.itemsize
-        if hi > len(data):
+        if offset < 0 or hi > len(data):
             raise CheckpointError(f"{path}: truncated blob for tensor {name}")
         if name not in expected:
             raise CheckpointError(f"{path}: unknown tensor {name}")
@@ -314,10 +317,12 @@ def load_checkpoint(path) -> ModelState:
             raise CheckpointError(
                 f"{path}: tensor {name} shape {shape} != config shape "
                 f"{expected[name]}")
+        if dt != config.dtype:
+            raise CheckpointError(
+                f"{path}: tensor {name} dtype {dt} != precision {config.precision}")
         loaded[name] = np.frombuffer(data[lo:hi], dtype=dt).reshape(shape).copy()
     missing = set(expected) - set(loaded)
     if missing:
         raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
     state.params = loaded
-    _rebind_layers(state)
     return state

@@ -6,8 +6,10 @@ tokens, tokens attend to each other, and the result is broadcast back to
 the points through the same slice weights. The layer wraps this in the
 canonical pre-norm Transformer block.
 
-All operations exist in two forms: a graph form on autodiff Tensors (used
-by the model and training) and thin ndarray wrappers for direct use.
+Each stage exists once, as a graph function on autodiff Tensors that
+carries the heads as a leading axis (slice weights are (H, N, M)), so all
+heads run in batched matmuls. The ndarray wrappers at the end call the
+same stages with one head.
 """
 
 from dataclasses import dataclass, fields
@@ -30,6 +32,9 @@ class LayerParams:
     slice_proj has width heads*M; with heads=1 it is the plain CxM slice
     projection. log_tau parameterizes the slicing temperature tau=exp(log_tau)
     to keep it positive while trainable.
+
+    The fields may be ndarrays or autodiff Tensors: the model looks them up
+    by name in its parameter dict, which holds Tensors during training.
     """
 
     slice_proj: np.ndarray    # (C, H*M)
@@ -64,6 +69,12 @@ class LayerParams:
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
         return [(f.name, getattr(self, f.name)) for f in fields(self)
                 if f.name != "heads"]
+
+    @classmethod
+    def lookup(cls, params: dict, prefix: str, heads: int) -> "LayerParams":
+        """The layer whose fields are params[prefix + field name]."""
+        return cls(heads=heads, **{f.name: params[prefix + f.name]
+                                   for f in fields(cls) if f.name != "heads"})
 
 
 def _uniform_init(rng: SplitMix64, shape: tuple, fan_in: int, dtype) -> np.ndarray:
@@ -105,134 +116,104 @@ def init_layer_params(channels: int, slices: int, heads: int, ffn_width: int,
 
 
 # ---------------------------------------------------------------------------
-# graph-form operations (single head, the literal equations)
+# stages, on Tensors with the heads as the leading axis
 
 
-def slice_weights_t(x: Tensor, projection: Tensor, bias: Tensor, tau) -> Tensor:
-    """Row-stochastic slice weights: softmax over M of (x.P + b)/tau."""
-    logits = ad.add(ad.matmul(x, projection), bias)
-    if isinstance(tau, Tensor):
-        logits = ad.div(logits, tau)
-    else:
-        logits = ad.mul(logits, 1.0 / float(tau))
+def _split_heads(x, heads: int) -> Tensor:
+    """(N, C) -> (H, N, C/H): column block i becomes head i."""
+    n, c = x.shape
+    return ad.transpose(ad.reshape(x, (n, heads, c // heads)), (1, 0, 2))
+
+
+def _merge_heads(x) -> Tensor:
+    """(H, N, C/H) -> (N, C), the inverse of _split_heads."""
+    h, n, ch = x.shape
+    return ad.reshape(ad.transpose(x, (1, 0, 2)), (n, h * ch))
+
+
+def slice_weights_t(x, projection, bias, tau, heads: int) -> Tensor:
+    """Row-stochastic slice weights (H, N, M): per head, softmax over M of
+    (x.P_h + b_h)/tau, where P_h is column block h of the projection."""
+    logits = ad.div(ad.add(ad.matmul(x, projection), bias), tau)
     if not np.all(np.isfinite(logits.value)):
         raise FloatingPointError("non-finite slice logits")
-    return ad.softmax(logits, axis=-1)
+    return ad.softmax(_split_heads(logits, heads), axis=-1)
 
 
-def aggregate_tokens_t(x: Tensor, w: Tensor) -> Tensor:
-    """Weighted-mean tokens: z_j = sum_i w_ij x_i / sum_i w_ij."""
-    num = ad.matmul(ad.transpose(w), x)                       # (M, C)
-    denom = ad.sum_(w, axis=0, keepdims=False)                # (M,)
-    denom = ad.maximum_const(denom, _TOKEN_DENOM_FLOOR)
-    return ad.div(num, ad.reshape(denom, (-1, 1)))
+def aggregate_tokens_t(x, w) -> Tensor:
+    """Weighted-mean tokens (H, M, C/H) of points x (H, N, C/H):
+    z_j = sum_i w_ij x_i / sum_i w_ij."""
+    num = ad.matmul(ad.transpose(w, (0, 2, 1)), x)
+    denom = ad.maximum_const(ad.sum_(w, axis=1), _TOKEN_DENOM_FLOOR)
+    return ad.div(num, ad.reshape(denom, denom.shape + (1,)))
 
 
-def token_attention_t(z: Tensor, w_q, b_q, w_k, b_k, w_v, b_v,
-                      w_o, b_o, scale: float | None = None) -> Tensor:
-    """Self-attention among tokens followed by the output projection."""
-    q = ad.add(ad.matmul(z, w_q), b_q)
-    k = ad.add(ad.matmul(z, w_k), b_k)
-    v = ad.add(ad.matmul(z, w_v), b_v)
-    d = z.shape[-1] if scale is None else scale
-    logits = ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(d))
-    attn = ad.softmax(logits, axis=-1)
-    return ad.add(ad.matmul(ad.matmul(attn, v), w_o), b_o)
+def token_attention_t(z, w_q, b_q, w_k, b_k, w_v, b_v,
+                      w_o, b_o) -> Tensor:
+    """Self-attention among the tokens z (H, M, C/H) of each head at scale
+    sqrt(C/H). The Q/K/V and output projections act on all C channels."""
+    h, _, ch = z.shape
+    zc = _merge_heads(z)
+    q = _split_heads(ad.add(ad.matmul(zc, w_q), b_q), h)
+    k = _split_heads(ad.add(ad.matmul(zc, w_k), b_k), h)
+    v = _split_heads(ad.add(ad.matmul(zc, w_v), b_v), h)
+    logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(ch))
+    attended = _merge_heads(ad.matmul(ad.softmax(logits, axis=-1), v))
+    return _split_heads(ad.add(ad.matmul(attended, w_o), b_o), h)
 
 
-def deslice_t(z_prime: Tensor, w: Tensor) -> Tensor:
-    """Broadcast transformed tokens back to points: x'_i = sum_j w_ij z'_j."""
+def deslice_t(z_prime, w) -> Tensor:
+    """Broadcast transformed tokens back to points: x'_i = sum_j w_ij z'_j,
+    (H, M, C/H) -> (H, N, C/H)."""
     return ad.matmul(w, z_prime)
 
 
-def physics_attention_t(x: Tensor, p: LayerParams, params: dict | None = None) -> Tensor:
-    """Multi-head physics attention. With heads=1 this is exactly
-    deslice(token_attention(aggregate(slice(x)))).
-
-    `params` optionally supplies Tensor-wrapped parameters (training path);
-    otherwise the layer's ndarrays are used as constants.
-    """
-    t = _wrap(p, params)
-    h = p.heads
-    c = p.channels
-    m = p.slices
-    ch = c // h
-    tau = ad.exp(t["log_tau"])
-    w_all = ad.add(ad.matmul(x, t["slice_proj"]), t["slice_bias"])
-    w_all = ad.div(w_all, tau)
-
-    head_weights = []
-    head_tokens = []
-    for i in range(h):
-        w_i = ad.softmax(ad.getitem(w_all, (slice(None), slice(i * m, (i + 1) * m))),
-                         axis=-1)                              # (N, M)
-        x_i = ad.getitem(x, (slice(None), slice(i * ch, (i + 1) * ch)))
-        head_weights.append(w_i)
-        head_tokens.append(aggregate_tokens_t(x_i, w_i))       # (M, Ch)
-
-    z = ad.concat(head_tokens, axis=1)                         # (M, C)
-    q = ad.add(ad.matmul(z, t["w_q"]), t["b_q"])
-    k = ad.add(ad.matmul(z, t["w_k"]), t["b_k"])
-    v = ad.add(ad.matmul(z, t["w_v"]), t["b_v"])
-    attended = []
-    for i in range(h):
-        cols = (slice(None), slice(i * ch, (i + 1) * ch))
-        q_i, k_i, v_i = ad.getitem(q, cols), ad.getitem(k, cols), ad.getitem(v, cols)
-        logits = ad.mul(ad.matmul(q_i, ad.transpose(k_i)), 1.0 / math.sqrt(ch))
-        attended.append(ad.matmul(ad.softmax(logits, axis=-1), v_i))
-    z_prime = ad.add(ad.matmul(ad.concat(attended, axis=1), t["w_o"]), t["b_o"])
-
-    outs = []
-    for i in range(h):
-        z_i = ad.getitem(z_prime, (slice(None), slice(i * ch, (i + 1) * ch)))
-        outs.append(deslice_t(z_i, head_weights[i]))           # (N, Ch)
-    return ad.concat(outs, axis=1)
+def physics_attention_t(x: Tensor, p: LayerParams) -> Tensor:
+    """Multi-head physics attention on x (N, C):
+    deslice(token_attention(aggregate(slice(x)))), all heads at once."""
+    w = slice_weights_t(x, p.slice_proj, p.slice_bias, ad.exp(p.log_tau), p.heads)
+    z = aggregate_tokens_t(_split_heads(x, p.heads), w)
+    z_prime = token_attention_t(z, p.w_q, p.b_q, p.w_k, p.b_k, p.w_v, p.b_v,
+                                p.w_o, p.b_o)
+    return _merge_heads(deslice_t(z_prime, w))
 
 
-def attention_block_t(x: Tensor, p: LayerParams, params: dict | None = None) -> Tensor:
+def attention_block_t(x: Tensor, p: LayerParams) -> Tensor:
     """Pre-norm residual block:
     x_hat = PhysicsAttn(LN(x)) + x; out = FFN(LN(x_hat)) + x_hat."""
-    t = _wrap(p, params)
-    attn_in = ad.layer_norm(x, t["ln1_gain"], t["ln1_bias"], eps=LAYER_NORM_EPS)
-    x_hat = ad.add(physics_attention_t(attn_in, p, params), x)
-    ffn_in = ad.layer_norm(x_hat, t["ln2_gain"], t["ln2_bias"], eps=LAYER_NORM_EPS)
-    hidden = ad.gelu(ad.add(ad.matmul(ffn_in, t["ffn_w1"]), t["ffn_b1"]))
-    ffn_out = ad.add(ad.matmul(hidden, t["ffn_w2"]), t["ffn_b2"])
+    attn_in = ad.layer_norm(x, p.ln1_gain, p.ln1_bias, eps=LAYER_NORM_EPS)
+    x_hat = ad.add(physics_attention_t(attn_in, p), x)
+    ffn_in = ad.layer_norm(x_hat, p.ln2_gain, p.ln2_bias, eps=LAYER_NORM_EPS)
+    hidden = ad.gelu(ad.add(ad.matmul(ffn_in, p.ffn_w1), p.ffn_b1))
+    ffn_out = ad.add(ad.matmul(hidden, p.ffn_w2), p.ffn_b2)
     return ad.add(ffn_out, x_hat)
 
 
-def _wrap(p: LayerParams, params: dict | None) -> dict:
-    if params is not None:
-        return params
-    return {name: Tensor(arr) for name, arr in p.named_arrays()}
-
-
 # ---------------------------------------------------------------------------
-# ndarray wrappers
+# ndarray wrappers: the stages above with one head
 
 
 def slice_weights(x: np.ndarray, projection: np.ndarray, bias: np.ndarray,
                   tau: float) -> np.ndarray:
-    return slice_weights_t(Tensor(x), Tensor(projection), Tensor(bias), tau).value
+    return slice_weights_t(x, projection, bias, tau, heads=1).value[0]
 
 
 def aggregate_tokens(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     if x.shape[0] != w.shape[0]:
         raise ValueError(f"point counts differ: x has {x.shape[0]}, w has {w.shape[0]}")
-    return aggregate_tokens_t(Tensor(x), Tensor(w)).value
+    return aggregate_tokens_t(x[None], w[None]).value[0]
 
 
 def token_attention(z: np.ndarray, w_q, b_q, w_k, b_k, w_v, b_v,
                     w_o, b_o) -> np.ndarray:
-    return token_attention_t(Tensor(z), Tensor(w_q), Tensor(b_q), Tensor(w_k),
-                             Tensor(b_k), Tensor(w_v), Tensor(b_v),
-                             Tensor(w_o), Tensor(b_o)).value
+    return token_attention_t(z[None], w_q, b_q, w_k, b_k, w_v, b_v,
+                             w_o, b_o).value[0]
 
 
 def deslice(z_prime: np.ndarray, w: np.ndarray) -> np.ndarray:
     if z_prime.shape[0] != w.shape[1]:
         raise ValueError("token count mismatch between z' and w")
-    return deslice_t(Tensor(z_prime), Tensor(w)).value
+    return deslice_t(z_prime[None], w[None]).value[0]
 
 
 def attention_block(x: np.ndarray, p: LayerParams) -> np.ndarray:

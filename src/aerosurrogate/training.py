@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .model import ModelConfig, ModelState, init_model, forward_graph, \
-    save_checkpoint, _rebind_layers
+    save_checkpoint
 from .pointcloud import SampleRecord, NormalizationStats, compute_stats, normalize
 from .rng import SplitMix64, derive_seed
 
@@ -76,43 +76,12 @@ def _relative_l2_t(y_hat: Tensor, y: np.ndarray) -> Tensor:
     return ad.mul(ad.frobenius_norm(ad.sub(y_hat, Tensor(y))), 1.0 / denom)
 
 
-def total_loss(pred_drag: float, pred_pressure: np.ndarray,
-               pred_velocity: np.ndarray, truth: SampleRecord,
-               weights: LossWeights) -> tuple[float, dict]:
-    """Composite loss value plus exact analytic gradients with respect to
-    each prediction."""
-    grads = {}
-    loss = 0.0
-    diff_p = np.asarray(pred_pressure, dtype=np.float64) - truth.pressure
-    norm_p = np.linalg.norm(truth.pressure)
-    err_p = np.linalg.norm(diff_p)
-    if norm_p < _NORM_FLOOR:
-        raise DegenerateTargetError("pressure target norm is zero")
-    loss += weights.pressure * err_p / norm_p
-    grads["pressure"] = (weights.pressure / norm_p) * (
-        diff_p / err_p if err_p > 0 else np.zeros_like(diff_p))
-
-    diff_v = np.asarray(pred_velocity, dtype=np.float64) - truth.velocity
-    norm_v = np.linalg.norm(truth.velocity)
-    err_v = np.linalg.norm(diff_v)
-    if norm_v < _NORM_FLOOR:
-        raise DegenerateTargetError("velocity target norm is zero")
-    loss += weights.velocity * err_v / norm_v
-    grads["velocity"] = (weights.velocity / norm_v) * (
-        diff_v / err_v if err_v > 0 else np.zeros_like(diff_v))
-
-    d = float(pred_drag) - truth.drag
-    loss += weights.drag * d * d
-    grads["drag"] = weights.drag * 2.0 * d
-    return loss, grads
-
-
-def _loss_graph(state: ModelState, record: SampleRecord,
-                weights: LossWeights, params_t: dict) -> tuple[Tensor, dict]:
-    """Differentiable composite loss for one (normalized) sample. Returns
-    the loss Tensor and its components as floats."""
-    drag, pressure, velocity = forward_graph(state, record.surface,
-                                             record.volume, params_t)
+def composite_loss_t(drag: Tensor, pressure: Tensor, velocity: Tensor,
+                     record: SampleRecord, weights: LossWeights
+                     ) -> tuple[Tensor, dict]:
+    """Differentiable composite loss of predictions against one
+    (normalized) sample. Returns the loss Tensor and its components as
+    floats."""
     loss_p = _relative_l2_t(pressure, record.pressure)
     loss_v = _relative_l2_t(velocity, record.velocity)
     d = ad.sub(drag, float(record.drag))
@@ -123,6 +92,13 @@ def _loss_graph(state: ModelState, record: SampleRecord,
     components = {"loss_v": float(loss_v.value), "loss_p": float(loss_p.value),
                   "loss_cd": float(loss_cd.value)}
     return total, components
+
+
+def _loss_graph(state: ModelState, record: SampleRecord,
+                weights: LossWeights, params_t: dict) -> tuple[Tensor, dict]:
+    return composite_loss_t(*forward_graph(state, record.surface,
+                                           record.volume, params_t),
+                            record, weights)
 
 
 @dataclass
@@ -182,7 +158,6 @@ def train_step(state: ModelState, record: SampleRecord, weights: LossWeights,
     grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.value))
              for name, t in params_t.items()}
     adam_step(state.params, grads, moments, config)
-    _rebind_layers(state)
     components["loss_total"] = float(loss.value)
     return components
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from aerosurrogate.cli import main
+from aerosurrogate.model import (CheckpointError, ModelConfig, init_model,
+                                 load_checkpoint, save_checkpoint)
 from aerosurrogate.pointcloud import load_sample, read_manifest
 from aerosurrogate.sampling import read_index_file
 
@@ -136,6 +138,60 @@ class TestTrainPredictEvaluate:
         code = main(["evaluate", "--checkpoint", str(bad), "--data", str(data),
                      "--out", str(tmp_path_local / "e")])
         assert code == 1
+
+
+def tiny_checkpoint(path, edit=None, raw_header=None, state=None):
+    """Save a tiny f32 model, then replace its JSON header by edit(header)
+    or by raw_header and re-align the tensor blobs behind it."""
+    save_checkpoint(state or init_model(ModelConfig(
+        layers=1, channels=4, slices=2, heads=1, geom_width=6)), path)
+    if edit is None and raw_header is None:
+        return path
+    data = path.read_bytes()
+    end = data.index(b"\n", 8)
+    blobs = data[end + 1 + (-(end + 1)) % 64:]
+    head = raw_header or json.dumps(edit(json.loads(data[8:end]))).encode()
+    pad = b"\0" * ((-(8 + len(head) + 1)) % 64)
+    path.write_bytes(data[:8] + head + b"\n" + pad + blobs)
+    return path
+
+
+class TestMalformedCheckpoint:
+    """Every header defect is a CheckpointError, which the CLI reports as a
+    runtime error (exit 1) without a traceback."""
+
+    def check(self, pipeline, tmp_path, capsys, path, match):
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+        _, data, _ = pipeline
+        code, _, err = run(["evaluate", "--checkpoint", str(path), "--data",
+                            str(data), "--out", str(tmp_path / "e")], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {path}:")
+
+    def test_unknown_config_key(self, pipeline, tmp_path, capsys):
+        path = tiny_checkpoint(tmp_path / "c.bin", edit=lambda h: {
+            **h, "config": {**h["config"], "bogus_key": 1}})
+        self.check(pipeline, tmp_path, capsys, path, "bogus_key")
+
+    def test_missing_stats(self, pipeline, tmp_path, capsys):
+        path = tiny_checkpoint(tmp_path / "c.bin", edit=lambda h: {
+            k: v for k, v in h.items() if k != "stats"})
+        self.check(pipeline, tmp_path, capsys, path, "stats")
+
+    def test_invalid_header_json(self, pipeline, tmp_path, capsys):
+        path = tiny_checkpoint(tmp_path / "c.bin", raw_header=b"{not json")
+        self.check(pipeline, tmp_path, capsys, path, "bad header")
+
+    def test_tensor_dtype_differs_from_precision(self, pipeline, tmp_path,
+                                                 capsys):
+        state = init_model(ModelConfig(layers=1, channels=4, slices=2, heads=1,
+                                       geom_width=6, precision="f32"))
+        state.params["embedding.b"] = state.params["embedding.b"].astype(
+            np.float64)
+        path = tiny_checkpoint(tmp_path / "c.bin", state=state)
+        self.check(pipeline, tmp_path, capsys, path,
+                   "embedding.b dtype float64 != precision f32")
 
 
 class TestGradCheck:

@@ -117,6 +117,43 @@ def oracle_layer(x, p: LayerParams):
     return ffn + x_hat
 
 
+def oracle_multihead_layer(x, p: LayerParams):
+    """Full multi-head attention block from the oracles above.
+
+    Head i slices with column block i of slice_proj, pools and deslices
+    channel block i, and attends with block i of the shared Q/K/V
+    projections at scale sqrt(C/H); the heads' outputs are concatenated
+    before w_o. The projected blocks enter oracle_attention as biases on
+    zero tokens of width C/H, so its loops run per head at that width.
+    """
+    h, m = p.heads, p.slices
+    c = x.shape[1]
+    ch = c // h
+    tau = math.exp(float(p.log_tau))
+    h1 = oracle_layer_norm(x, p.ln1_gain, p.ln1_bias)
+    weights, tokens = [], []
+    for i in range(h):
+        cols = slice(i * m, (i + 1) * m)
+        w = oracle_slice(h1, p.slice_proj[:, cols], p.slice_bias[cols], tau)
+        weights.append(w)
+        tokens.append(oracle_aggregate(h1[:, i * ch:(i + 1) * ch], w))
+    z = np.hstack(tokens)
+    q, k, v = z @ p.w_q + p.b_q, z @ p.w_k + p.b_k, z @ p.w_v + p.b_v
+    zero_z, zero_w = np.zeros((m, ch)), np.zeros((ch, ch))
+    attended = []
+    for i in range(h):
+        cols = slice(i * ch, (i + 1) * ch)
+        attended.append(oracle_attention(
+            zero_z, zero_w, q[:, cols], zero_w, k[:, cols], zero_w, v[:, cols],
+            np.eye(ch), np.zeros(ch)))
+    z_p = np.hstack(attended) @ p.w_o + p.b_o
+    x_hat = np.hstack([oracle_deslice(z_p[:, i * ch:(i + 1) * ch], weights[i])
+                       for i in range(h)]) + x
+    h2 = oracle_layer_norm(x_hat, p.ln2_gain, p.ln2_bias)
+    ffn = oracle_gelu(h2 @ p.ffn_w1 + p.ffn_b1) @ p.ffn_w2 + p.ffn_b2
+    return ffn + x_hat
+
+
 def random_params(c, m, heads=1, ffn=None, seed=0):
     return init_layer_params(c, m, heads, ffn or 2 * c, SplitMix64(seed),
                              dtype=np.float64)
@@ -260,6 +297,16 @@ class TestLayer:
         np.testing.assert_allclose(attention_block(x, p), oracle_layer(x, p),
                                    atol=1e-10)
 
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_multihead_oracle(self, heads):
+        p = random_params(8, 3, heads=heads, seed=6)
+        for i, (name, arr) in enumerate(p.named_arrays()):
+            if arr.ndim == 1:    # biases and gains start at 0 or 1
+                arr[...] = rand(arr.size, seed=20 + i)
+        x = rand(7, 8, seed=13)
+        np.testing.assert_allclose(attention_block(x, p),
+                                   oracle_multihead_layer(x, p), atol=1e-10)
+
     def test_multihead_permutation_equivariance(self):
         p = random_params(8, 3, heads=2, seed=5)
         x = rand(10, 8)
@@ -292,7 +339,7 @@ class TestLayer:
         xt = Tensor(x0.copy(), requires_grad=True)
         params_t = {name: Tensor(a, requires_grad=True)
                     for (name, _), a in zip(p.named_arrays(), arrs)}
-        out = attention_block_t(xt, p, params_t)
+        out = attention_block_t(xt, LayerParams(**params_t, heads=p.heads))
         loss = (out * out)
         from aerosurrogate import autodiff as ad
         ad.sum_(loss).backward()

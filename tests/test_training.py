@@ -3,13 +3,50 @@ import math
 import numpy as np
 import pytest
 
+from aerosurrogate.autodiff import Tensor
 from aerosurrogate.datagen import DatasetSpec, generate_records
 from aerosurrogate.model import ModelConfig, init_model
 from aerosurrogate.training import (
     AdamState, DegenerateTargetError, GradCheckReport, LossWeights,
-    TrainConfig, adam_step, grad_check, relative_l2, total_loss, train,
+    TrainConfig, adam_step, composite_loss_t, grad_check, relative_l2, train,
     write_loss_csv)
 from tests.test_pointcloud import make_record
+
+
+def oracle_total_loss(pred_drag, pred_pressure, pred_velocity, truth, weights):
+    """Composite loss value plus hand-derived gradients with respect to
+    each prediction."""
+    grads = {}
+    diff_p = np.asarray(pred_pressure, dtype=np.float64) - truth.pressure
+    norm_p = np.linalg.norm(truth.pressure)
+    err_p = np.linalg.norm(diff_p)
+    loss = weights.pressure * err_p / norm_p
+    grads["pressure"] = (weights.pressure / norm_p) * (
+        diff_p / err_p if err_p > 0 else np.zeros_like(diff_p))
+
+    diff_v = np.asarray(pred_velocity, dtype=np.float64) - truth.velocity
+    norm_v = np.linalg.norm(truth.velocity)
+    err_v = np.linalg.norm(diff_v)
+    loss += weights.velocity * err_v / norm_v
+    grads["velocity"] = (weights.velocity / norm_v) * (
+        diff_v / err_v if err_v > 0 else np.zeros_like(diff_v))
+
+    d = float(pred_drag) - truth.drag
+    loss += weights.drag * d * d
+    grads["drag"] = weights.drag * 2.0 * d
+    return loss, grads
+
+
+def graph_loss(pred_drag, pred_pressure, pred_velocity, truth, weights):
+    """composite_loss_t's value and its gradients with respect to the
+    predictions, in the oracle's layout."""
+    preds = {"drag": Tensor(np.float64(pred_drag), requires_grad=True),
+             "pressure": Tensor(pred_pressure.copy(), requires_grad=True),
+             "velocity": Tensor(pred_velocity.copy(), requires_grad=True)}
+    loss, _ = composite_loss_t(preds["drag"], preds["pressure"],
+                               preds["velocity"], truth, weights)
+    loss.backward()
+    return float(loss.value), {k: t.grad for k, t in preds.items()}
 
 
 class TestRelativeL2:
@@ -40,16 +77,23 @@ class TestRelativeL2:
 class TestTotalLoss:
     def test_perfect_prediction_zero(self):
         rec = make_record()
-        loss, _ = total_loss(rec.drag, rec.pressure, rec.velocity, rec,
-                             LossWeights())
-        assert loss == 0.0
+        preds = (Tensor(np.float64(rec.drag)), Tensor(rec.pressure),
+                 Tensor(rec.velocity))
+        loss, _ = composite_loss_t(*preds, rec, LossWeights())
+        assert float(loss.value) == 0.0
 
     def test_drag_only(self):
         rec = make_record(drag=0.3)
-        loss, grads = total_loss(0.4, rec.pressure, rec.velocity, rec,
-                                 LossWeights(velocity=0.0, pressure=0.0, drag=1.0))
-        assert loss == pytest.approx(0.01)
-        assert grads["drag"] == pytest.approx(0.2)
+        w = LossWeights(velocity=0.0, pressure=0.0, drag=1.0)
+        pred_p = rec.pressure + 0.1
+        pred_v = rec.velocity - 0.1
+        loss, grads = graph_loss(0.4, pred_p, pred_v, rec, w)
+        assert loss == pytest.approx(0.01, abs=1e-12)
+        assert grads["drag"] == pytest.approx(0.2, abs=1e-12)
+        want_loss, want = oracle_total_loss(0.4, pred_p, pred_v, rec, w)
+        assert loss == pytest.approx(want_loss, abs=1e-12)
+        np.testing.assert_array_equal(grads["pressure"], 0.0)
+        np.testing.assert_array_equal(grads["velocity"], 0.0)
 
     def test_matches_independent_oracle(self):
         rec = make_record(seed=4)
@@ -58,30 +102,34 @@ class TestTotalLoss:
         pred_v = rec.velocity + rng.normal(size=rec.velocity.shape) * 0.1
         pred_d = rec.drag + 0.05
         w = LossWeights(velocity=0.7, pressure=1.3, drag=0.2)
-        loss, _ = total_loss(pred_d, pred_p, pred_v, rec, w)
+        loss, _ = graph_loss(pred_d, pred_p, pred_v, rec, w)
         expected = (0.7 * np.linalg.norm(pred_v - rec.velocity)
                     / np.linalg.norm(rec.velocity)
                     + 1.3 * np.linalg.norm(pred_p - rec.pressure)
                     / np.linalg.norm(rec.pressure)
                     + 0.2 * (pred_d - rec.drag) ** 2)
         assert loss == pytest.approx(expected, abs=1e-12)
+        assert loss == pytest.approx(
+            oracle_total_loss(pred_d, pred_p, pred_v, rec, w)[0], abs=1e-12)
 
     def test_gradients_match_finite_differences(self):
+        # the oracle's gradients against central differences of its value,
+        # then the graph's gradients against the oracle's
         rec = make_record(seed=6)
         rng = np.random.default_rng(7)
         pred_p = rec.pressure + rng.normal(size=rec.pressure.shape) * 0.2
         pred_v = rec.velocity + rng.normal(size=rec.velocity.shape) * 0.2
         pred_d = rec.drag + 0.1
         w = LossWeights()
-        _, grads = total_loss(pred_d, pred_p, pred_v, rec, w)
+        _, want = oracle_total_loss(pred_d, pred_p, pred_v, rec, w)
         h = 1e-7
 
         def loss_at(d, p, v):
-            return total_loss(d, p, v, rec, w)[0]
+            return oracle_total_loss(d, p, v, rec, w)[0]
 
         fd_d = (loss_at(pred_d + h, pred_p, pred_v)
                 - loss_at(pred_d - h, pred_p, pred_v)) / (2 * h)
-        assert grads["drag"] == pytest.approx(fd_d, rel=1e-6)
+        assert want["drag"] == pytest.approx(fd_d, rel=1e-6)
         for i in range(3):
             p_up = pred_p.copy()
             p_up[i] += h
@@ -89,7 +137,12 @@ class TestTotalLoss:
             p_dn[i] -= h
             fd = (loss_at(pred_d, p_up, pred_v)
                   - loss_at(pred_d, p_dn, pred_v)) / (2 * h)
-            assert grads["pressure"][i] == pytest.approx(fd, rel=1e-5)
+            assert want["pressure"][i] == pytest.approx(fd, rel=1e-5)
+
+        _, grads = graph_loss(pred_d, pred_p, pred_v, rec, w)
+        assert float(grads["drag"]) == pytest.approx(want["drag"], abs=1e-12)
+        for key in ("pressure", "velocity"):
+            np.testing.assert_allclose(grads[key], want[key], atol=1e-12)
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):
