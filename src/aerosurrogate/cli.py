@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime error, 2 configuration/usage error.
 """
 
 import argparse
+from dataclasses import replace
 import json
 import sys
 from pathlib import Path
@@ -16,8 +17,8 @@ from .datagen import DatasetSpec, generate_dataset
 from .metrics import evaluate
 from .model import (CheckpointError, ModelConfig, load_checkpoint,
                     predict_denormalized)
-from .pointcloud import (SampleRecord, load_dataset, load_sample, save_sample,
-                         SampleFormatError)
+from .pointcloud import (SampleFormatError, load_dataset, load_sample,
+                         save_sample, save_targets)
 from .sampling import SamplingConfig, sample_indices, write_index_file
 from .training import LossWeights, TrainConfig, grad_check, train
 
@@ -134,12 +135,8 @@ def cmd_sample(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_index_file(indices, out / "indices.txt")
     if args.write_sample:
-        reduced = SampleRecord(
-            surface=record.surface.select(indices),
-            volume=record.volume,
-            pressure=record.pressure[np.asarray(indices)],
-            velocity=record.velocity,
-            drag=record.drag, id=record.id)
+        reduced = replace(record, surface=record.surface.select(indices),
+                          pressure=record.pressure[np.asarray(indices)])
         save_sample(reduced, out / "sample")
     print(out / "indices.txt")
     return 0
@@ -170,15 +167,8 @@ def cmd_predict(args) -> int:
     state = load_checkpoint(args.checkpoint)
     record = load_sample(args.input)
     pred = predict_denormalized(state, record.surface, record.volume)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "pressure.txt").write_text(
-        "\n".join(format(v, ".17g") for v in pred.pressure) + "\n")
-    (out / "velocity.txt").write_text(
-        "\n".join(" ".join(format(x, ".17g") for x in row)
-                  for row in pred.velocity) + "\n")
-    (out / "cd.txt").write_text(format(pred.drag, ".17g") + "\n")
-    print(out)
+    save_targets(args.out, pred.pressure, pred.velocity, pred.drag)
+    print(Path(args.out))
     return 0
 
 

@@ -7,17 +7,17 @@ role-flag input channel (surface=1, volume=0). A single forward pass
 produces all three predictions.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 import json
-import math
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .physatt import LayerParams, init_layer_params, attention_block_t
-from .pointcloud import NormalizationStats, PointCloud
+from .physatt import (LayerParams, init_layer_params, attention_block_t,
+                      uniform_init)
+from .pointcloud import NormalizationStats, PointCloud, normalize_cloud
 from .rng import SplitMix64
 
 CHECKPOINT_MAGIC = b"PASURF01"
@@ -73,13 +73,7 @@ class ModelConfig:
         return np.float64 if self.precision == "f64" else np.float32
 
     def to_dict(self) -> dict:
-        return {
-            "layers": self.layers, "channels": self.channels,
-            "slices": self.slices, "heads": self.heads,
-            "ffn_width": self.ffn_width, "geom_width": self.geom_width,
-            "extra_width": self.extra_width, "head_hidden": self.head_hidden,
-            "seed": self.seed, "precision": self.precision,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
@@ -120,13 +114,9 @@ def init_model(config: ModelConfig,
     dtype = config.dtype
     params: dict[str, np.ndarray] = {}
 
-    def uniform(shape, fan_in):
-        bound = 1.0 / math.sqrt(fan_in)
-        n = int(np.prod(shape))
-        return ((rng.uniform_array(n) * 2.0 - 1.0) * bound).reshape(shape).astype(dtype)
-
     c = config.channels
-    params["embedding.w"] = uniform((config.input_width, c), config.input_width)
+    params["embedding.w"] = uniform_init(rng, (config.input_width, c),
+                                         config.input_width, dtype)
     params["embedding.b"] = np.zeros(c, dtype=dtype)
 
     for li in range(config.layers):
@@ -137,9 +127,9 @@ def init_model(config: ModelConfig,
 
     h = config.hidden
     for prefix, out_w in (("head.drag", 1), ("head.pressure", 1), ("head.velocity", 3)):
-        params[f"{prefix}.w1"] = uniform((c, h), c)
+        params[f"{prefix}.w1"] = uniform_init(rng, (c, h), c, dtype)
         params[f"{prefix}.b1"] = np.zeros(h, dtype=dtype)
-        params[f"{prefix}.w2"] = uniform((h, out_w), h)
+        params[f"{prefix}.w2"] = uniform_init(rng, (h, out_w), h, dtype)
         params[f"{prefix}.b2"] = np.zeros(out_w, dtype=dtype)
 
     return ModelState(config=config,
@@ -224,13 +214,10 @@ def predict_denormalized(state: ModelState, surface: PointCloud,
     """Normalize raw clouds with the stored stats, run forward, and map
     predictions back to physical units."""
     s = state.stats
-    scale = s.position_scale
-    surf = PointCloud((surface.positions - s.position_center) / scale,
-                      surface.normals, surface.extra_features, "surface")
+    surf = normalize_cloud(surface, s.position_center, s.position_scale)
     vol = None
     if volume is not None and volume.n_points > 0:
-        vol = PointCloud((volume.positions - s.position_center) / scale,
-                         volume.normals, volume.extra_features, "volume")
+        vol = normalize_cloud(volume, s.position_center, s.position_scale)
     pred = forward(state, surf, vol)
     return Prediction(
         drag=pred.drag * s.drag_std + s.drag_mean,

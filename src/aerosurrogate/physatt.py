@@ -77,7 +77,8 @@ class LayerParams:
                                    for f in fields(cls) if f.name != "heads"})
 
 
-def _uniform_init(rng: SplitMix64, shape: tuple, fan_in: int, dtype) -> np.ndarray:
+def uniform_init(rng: SplitMix64, shape: tuple, fan_in: int, dtype) -> np.ndarray:
+    """Draws from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), cast to dtype."""
     bound = 1.0 / math.sqrt(fan_in)
     n = int(np.prod(shape)) if shape else 1
     vals = (rng.uniform_array(n) * 2.0 - 1.0) * bound
@@ -92,20 +93,20 @@ def init_layer_params(channels: int, slices: int, heads: int, ffn_width: int,
         raise ValueError(f"channels {channels} not divisible by heads {heads}")
     c = channels
     return LayerParams(
-        slice_proj=_uniform_init(rng, (c, heads * slices), c, dtype),
+        slice_proj=uniform_init(rng, (c, heads * slices), c, dtype),
         slice_bias=np.zeros(heads * slices, dtype=dtype),
         log_tau=np.asarray(math.log(0.5), dtype=dtype),
-        w_q=_uniform_init(rng, (c, c), c, dtype),
+        w_q=uniform_init(rng, (c, c), c, dtype),
         b_q=np.zeros(c, dtype=dtype),
-        w_k=_uniform_init(rng, (c, c), c, dtype),
+        w_k=uniform_init(rng, (c, c), c, dtype),
         b_k=np.zeros(c, dtype=dtype),
-        w_v=_uniform_init(rng, (c, c), c, dtype),
+        w_v=uniform_init(rng, (c, c), c, dtype),
         b_v=np.zeros(c, dtype=dtype),
-        w_o=_uniform_init(rng, (c, c), c, dtype),
+        w_o=uniform_init(rng, (c, c), c, dtype),
         b_o=np.zeros(c, dtype=dtype),
-        ffn_w1=_uniform_init(rng, (c, ffn_width), c, dtype),
+        ffn_w1=uniform_init(rng, (c, ffn_width), c, dtype),
         ffn_b1=np.zeros(ffn_width, dtype=dtype),
-        ffn_w2=_uniform_init(rng, (ffn_width, c), ffn_width, dtype),
+        ffn_w2=uniform_init(rng, (ffn_width, c), ffn_width, dtype),
         ffn_b2=np.zeros(c, dtype=dtype),
         ln1_gain=np.ones(c, dtype=dtype),
         ln1_bias=np.zeros(c, dtype=dtype),

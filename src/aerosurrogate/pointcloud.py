@@ -8,12 +8,15 @@ A sample lives in one directory:
     velocity.txt  N_v rows of "vx vy vz"
     cd.txt        one drag coefficient
 
-All decimals are written with 17 significant digits so float64 values
-round-trip bit-exactly. A dataset root holds manifest.json listing the
-sample directories.
+Every file is one row per line; blank lines are skipped on reading, and
+a malformed value is reported as `file:line`. All decimals are written
+with 17 significant digits (%.17g) so float64 values round-trip
+bit-exactly. A prediction directory holds the same three target files
+(pressure.txt, velocity.txt, cd.txt). A dataset root holds manifest.json
+listing the sample directories.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 import json
 
@@ -27,10 +30,6 @@ _STD_FLOOR = 1e-8
 
 class SampleFormatError(ValueError):
     """Malformed or inconsistent sample files."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -210,7 +209,9 @@ def compute_stats(records: list[SampleRecord]) -> NormalizationStats:
                               v_mean, v_std, float(d_mean), float(d_std))
 
 
-def _map_cloud(cloud: PointCloud, center, scale) -> PointCloud:
+def normalize_cloud(cloud: PointCloud, center, scale) -> PointCloud:
+    """Cloud with positions mapped to (p - center)/scale; normals and
+    features unchanged."""
     return PointCloud(
         positions=(cloud.positions - center) / scale,
         normals=cloud.normals,
@@ -223,8 +224,10 @@ def normalize(record: SampleRecord, stats: NormalizationStats) -> SampleRecord:
     """Map positions to (p - center)/scale and each target channel to
     (t - mean)/std."""
     return SampleRecord(
-        surface=_map_cloud(record.surface, stats.position_center, stats.position_scale),
-        volume=_map_cloud(record.volume, stats.position_center, stats.position_scale),
+        surface=normalize_cloud(record.surface, stats.position_center,
+                                stats.position_scale),
+        volume=normalize_cloud(record.volume, stats.position_center,
+                               stats.position_scale),
         pressure=(record.pressure - stats.pressure_mean) / stats.pressure_std,
         velocity=(record.velocity - stats.velocity_mean) / stats.velocity_std,
         drag=(record.drag - stats.drag_mean) / stats.drag_std,
@@ -235,10 +238,12 @@ def normalize(record: SampleRecord, stats: NormalizationStats) -> SampleRecord:
 def denormalize(record: SampleRecord, stats: NormalizationStats) -> SampleRecord:
     """Inverse of normalize()."""
     return SampleRecord(
-        surface=_map_cloud(record.surface, -stats.position_center / stats.position_scale,
-                           1.0 / stats.position_scale),
-        volume=_map_cloud(record.volume, -stats.position_center / stats.position_scale,
-                          1.0 / stats.position_scale),
+        surface=normalize_cloud(record.surface,
+                                -stats.position_center / stats.position_scale,
+                                1.0 / stats.position_scale),
+        volume=normalize_cloud(record.volume,
+                               -stats.position_center / stats.position_scale,
+                               1.0 / stats.position_scale),
         pressure=record.pressure * stats.pressure_std + stats.pressure_mean,
         velocity=record.velocity * stats.velocity_std + stats.velocity_mean,
         drag=record.drag * stats.drag_std + stats.drag_mean,
@@ -250,25 +255,50 @@ def denormalize(record: SampleRecord, stats: NormalizationStats) -> SampleRecord
 # file I/O
 
 
-def _parse_floats(line: str, expected: int, path: Path, lineno: int) -> list[float]:
-    parts = line.split()
-    if len(parts) != expected:
-        raise SampleFormatError(
-            f"{path}:{lineno}: expected {expected} values, got {len(parts)}")
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError as e:
-        raise SampleFormatError(f"{path}:{lineno}: {e}") from None
-    for v in vals:
-        if not np.isfinite(v):
-            raise SampleFormatError(f"{path}:{lineno}: non-finite value")
-    return vals
-
-
 def _read_lines(path: Path) -> list[str]:
     if not path.is_file():
         raise SampleFormatError(f"missing file: {path}")
     return path.read_text().splitlines()
+
+
+def _read_rows(path: Path, n: int, width: int, lines: list[str] | None = None,
+               start: int = 0) -> np.ndarray:
+    """Parse a sample file as an (n, width) array of finite floats.
+
+    Blank lines are skipped; errors name the line's number in the file. A
+    caller that has read the file already passes its `lines` and the index
+    of the first body line.
+    """
+    if lines is None:
+        lines = _read_lines(path)
+    body = [i for i in range(start, len(lines)) if lines[i].strip()]
+    if len(body) != n:
+        raise SampleFormatError(f"{path}: expected {n} rows, got {len(body)}")
+    rows = []
+    for i in body:
+        parts = lines[i].split()
+        if len(parts) != width:
+            raise SampleFormatError(
+                f"{path}:{i + 1}: expected {width} values, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as e:
+            raise SampleFormatError(f"{path}:{i + 1}: {e}") from None
+    arr = np.array(rows, dtype=np.float64).reshape(n, width)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        lineno = body[int(np.argmin(finite))] + 1
+        raise SampleFormatError(f"{path}:{lineno}: non-finite value")
+    return arr
+
+
+def _write_rows(path: Path, rows, header: str | None = None) -> None:
+    """Write a 2-D array one row per line with %.17g values."""
+    rows = np.asarray(rows, dtype=np.float64)
+    fmt = " ".join(["%.17g"] * rows.shape[1])
+    lines = [] if header is None else [header]
+    lines += [fmt % tuple(row.tolist()) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _load_cloud(path: Path, role: str) -> PointCloud:
@@ -284,27 +314,15 @@ def _load_cloud(path: Path, role: str) -> PointCloud:
         raise SampleFormatError(f"{path}:1: non-integer header field") from None
     if has_normals not in (0, 1):
         raise SampleFormatError(f"{path}:1: has_normals must be 0 or 1")
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != n:
-        raise SampleFormatError(
-            f"{path}: header declares {n} points, body has {len(body)} rows")
-    width = 3 + 3 * has_normals + c_u
-    rows = [_parse_floats(ln, width, path, i + 2) for i, ln in enumerate(body)]
-    arr = np.asarray(rows, dtype=np.float64).reshape(n, width)
-    positions = arr[:, :3]
-    normals = arr[:, 3:6] if has_normals else None
-    feats = arr[:, 3 + 3 * has_normals:]
-    return PointCloud(positions=positions, normals=normals,
-                      extra_features=feats, role=role)
-
-
-def _load_vector(path: Path, n: int, width: int) -> np.ndarray:
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
-    if len(lines) != n:
-        raise SampleFormatError(
-            f"{path}: expected {n} rows, got {len(lines)}")
-    rows = [_parse_floats(ln, width, path, i + 1) for i, ln in enumerate(lines)]
-    return np.asarray(rows, dtype=np.float64).reshape(n, width)
+    if c_u < 0:
+        raise SampleFormatError(f"{path}:1: C_u must be >= 0")
+    arr = _read_rows(path, n, 3 + 3 * has_normals + c_u, lines, start=1)
+    try:
+        return PointCloud(positions=arr[:, :3],
+                          normals=arr[:, 3:6] if has_normals else None,
+                          extra_features=arr[:, 3 + 3 * has_normals:], role=role)
+    except ValueError as e:
+        raise SampleFormatError(f"{path}: {e}") from None
 
 
 def load_sample(path) -> SampleRecord:
@@ -314,12 +332,9 @@ def load_sample(path) -> SampleRecord:
     volume = _load_cloud(path / "volume.txt", "volume")
     if volume.normals is not None:
         raise SampleFormatError(f"{path / 'volume.txt'}: volume points must not carry normals")
-    pressure = _load_vector(path / "pressure.txt", surface.n_points, 1)[:, 0]
-    velocity = _load_vector(path / "velocity.txt", volume.n_points, 3)
-    cd_lines = [ln for ln in _read_lines(path / "cd.txt") if ln.strip()]
-    if len(cd_lines) != 1:
-        raise SampleFormatError(f"{path / 'cd.txt'}: expected exactly one value")
-    drag = _parse_floats(cd_lines[0], 1, path / "cd.txt", 1)[0]
+    pressure = _read_rows(path / "pressure.txt", surface.n_points, 1)[:, 0]
+    velocity = _read_rows(path / "velocity.txt", volume.n_points, 3)
+    drag = _read_rows(path / "cd.txt", 1, 1)[0, 0]
     try:
         return SampleRecord(surface=surface, volume=volume, pressure=pressure,
                             velocity=velocity, drag=drag, id=path.name)
@@ -327,29 +342,27 @@ def load_sample(path) -> SampleRecord:
         raise SampleFormatError(f"{path}: {e}") from None
 
 
-def _cloud_lines(cloud: PointCloud) -> list[str]:
-    has_n = 1 if cloud.normals is not None else 0
-    out = [f"{cloud.n_points} {cloud.n_extra} {has_n}"]
-    for i in range(cloud.n_points):
-        parts = [_fmt(v) for v in cloud.positions[i]]
-        if cloud.normals is not None:
-            parts += [_fmt(v) for v in cloud.normals[i]]
-        parts += [_fmt(v) for v in cloud.extra_features[i]]
-        out.append(" ".join(parts))
-    return out
+def save_targets(path, pressure, velocity, drag: float) -> None:
+    """Write pressure.txt, velocity.txt and cd.txt into directory `path`."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    _write_rows(path / "pressure.txt", np.reshape(pressure, (-1, 1)))
+    _write_rows(path / "velocity.txt", np.reshape(velocity, (-1, 3)))
+    _write_rows(path / "cd.txt", [[drag]])
 
 
 def save_sample(record: SampleRecord, path) -> None:
     """Write a sample directory; byte-deterministic for identical input."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    (path / "surface.txt").write_text("\n".join(_cloud_lines(record.surface)) + "\n")
-    (path / "volume.txt").write_text("\n".join(_cloud_lines(record.volume)) + "\n")
-    (path / "pressure.txt").write_text(
-        "\n".join(_fmt(v) for v in record.pressure) + "\n")
-    (path / "velocity.txt").write_text(
-        "\n".join(" ".join(_fmt(x) for x in row) for row in record.velocity) + "\n")
-    (path / "cd.txt").write_text(_fmt(record.drag) + "\n")
+    for name, cloud in (("surface.txt", record.surface),
+                        ("volume.txt", record.volume)):
+        has_n = cloud.normals is not None
+        cols = [cloud.positions] + ([cloud.normals] if has_n else []) \
+            + [cloud.extra_features]
+        _write_rows(path / name, np.hstack(cols),
+                    header=f"{cloud.n_points} {cloud.n_extra} {int(has_n)}")
+    save_targets(path, record.pressure, record.velocity, record.drag)
 
 
 # ---------------------------------------------------------------------------

@@ -59,14 +59,14 @@ def estimate_curvature(cloud: PointCloud, k: int = 16) -> np.ndarray:
         d2 = sq[start:stop, None] + sq[None, :] - 2.0 * block @ pos.T
         # k nearest excluding the point itself
         order = np.argsort(d2, axis=1, kind="stable")[:, 1:k + 1]
-        for row, nbrs in enumerate(order):
-            pts = pos[nbrs]
-            centered = pts - pts.mean(axis=0)
-            cov = centered.T @ centered / k
-            eig = np.linalg.eigvalsh(cov)           # ascending
-            total = float(eig.sum())
-            kappa[start + row] = 0.0 if total < _DEGENERATE_EIG_SUM \
-                else max(0.0, float(eig[0]) / total)
+        pts = pos[order]                                    # (rows, k, 3)
+        centered = pts - pts.mean(axis=1, keepdims=True)
+        cov = np.swapaxes(centered, 1, 2) @ centered / k
+        eig = np.linalg.eigvalsh(cov)                       # ascending
+        total = eig.sum(axis=1)
+        degenerate = total < _DEGENERATE_EIG_SUM
+        ratio = eig[:, 0] / np.where(degenerate, 1.0, total)
+        kappa[start:stop] = np.where(degenerate, 0.0, np.maximum(0.0, ratio))
     return kappa
 
 
@@ -80,10 +80,9 @@ def sample_random(cloud: PointCloud, n: int, seed: int) -> list[int]:
     return sorted(rng.sample_without_replacement(n_total, n))
 
 
-def _top_k_by_score(scores: np.ndarray, n: int) -> list[int]:
-    # descending score, ties broken by ascending index
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return sorted(int(i) for i in order[:n])
+def _descending(scores: np.ndarray) -> np.ndarray:
+    """Indices by descending score, ties broken by ascending index."""
+    return np.argsort(-scores, kind="stable")
 
 
 def sample_curvature(cloud: PointCloud, n: int, k: int = 16) -> list[int]:
@@ -91,7 +90,7 @@ def sample_curvature(cloud: PointCloud, n: int, k: int = 16) -> list[int]:
     if n >= cloud.n_points:
         return list(range(cloud.n_points))
     kappa = estimate_curvature(cloud, k)
-    return _top_k_by_score(kappa, n)
+    return np.sort(_descending(kappa)[:n]).tolist()
 
 
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
@@ -104,9 +103,7 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     base = np.floor(exact).astype(np.int64)
     leftover = total - int(base.sum())
     if leftover > 0:
-        remainders = exact - base
-        order = np.lexsort((np.arange(len(weights)), -remainders))
-        base[order[:leftover]] += 1
+        base[_descending(exact - base)[:leftover]] += 1
     return base
 
 
@@ -123,14 +120,13 @@ def sample_adaptive(cloud: PointCloud, config: SamplingConfig) -> list[int]:
     if n >= n_total:
         return list(range(n_total))
     kappa = estimate_curvature(cloud, config.knn_k)
-    n_curv = math.ceil(config.curvature_fraction * n)
-    n_curv = min(n_curv, n)
-    curv_order = np.lexsort((np.arange(n_total), -kappa))
-    selected = set(int(i) for i in curv_order[:n_curv])
+    curv_order = _descending(kappa)
+    n_curv = min(math.ceil(config.curvature_fraction * n), n)
+    selected = np.zeros(n_total, dtype=bool)
+    selected[curv_order[:n_curv]] = True
 
-    remaining = np.array([i for i in range(n_total) if i not in selected],
-                         dtype=np.int64)
-    n_rest = n - len(selected)
+    remaining = np.flatnonzero(~selected)
+    n_rest = n - n_curv
     if n_rest > 0 and len(remaining) > 0:
         pos = cloud.positions
         lo = pos.min(axis=0)
@@ -153,18 +149,13 @@ def sample_adaptive(cloud: PointCloud, config: SamplingConfig) -> list[int]:
         for grp, q in zip(groups, quota):
             if q <= 0:
                 continue
-            picks = rng.sample_without_replacement(len(grp), int(q))
-            selected.update(int(grp[p]) for p in picks)
+            selected[grp[rng.sample_without_replacement(len(grp), int(q))]] = True
 
     # top up with unused highest-curvature points (covers quota caps too)
-    if len(selected) < n:
-        for i in curv_order:
-            i = int(i)
-            if i not in selected:
-                selected.add(i)
-                if len(selected) == n:
-                    break
-    return sorted(selected)
+    short = n - int(selected.sum())
+    if short > 0:
+        selected[curv_order[~selected[curv_order]][:short]] = True
+    return np.flatnonzero(selected).tolist()
 
 
 def sample_indices(cloud: PointCloud, config: SamplingConfig) -> list[int]:

@@ -83,6 +83,29 @@ class TestSample:
         np.testing.assert_array_equal(reduced.pressure, full.pressure[idx])
 
 
+    @staticmethod
+    def negative_feature_count(lines):
+        # rows as wide as the header claims: 3 + 3 normals - 1
+        return ["24 -1 1"] + [" ".join(ln.split()[:5]) for ln in lines[1:]]
+
+    @staticmethod
+    def non_unit_normal(lines):
+        return [lines[0], "0 0 0 2 0 0"] + lines[2:]
+
+    @pytest.mark.parametrize("edit", ["negative_feature_count",
+                                      "non_unit_normal"])
+    def test_bad_cloud_content_is_runtime_error(self, tmp_path, capsys, edit):
+        data = gen(tmp_path, n=1, n_surface=24)
+        sample_dir = data / read_manifest(data)["samples"][0]
+        surface = sample_dir / "surface.txt"
+        lines = getattr(self, edit)(surface.read_text().splitlines())
+        surface.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["sample", "--n", "8", "--in", str(sample_dir),
+                            "--out", str(tmp_path / "reduced")], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {surface}")
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("pipe")

@@ -128,6 +128,70 @@ class TestFileIO:
         with pytest.raises(SampleFormatError, match="non-finite"):
             load_sample(tmp_path / "s0")
 
+    def test_golden_text(self, tmp_path):
+        third = 1.0 / 3.0
+        surface = PointCloud([[0.1, -0.0, third], [1e-300, 2.5, -7.0]],
+                             [[0.0, -0.0, 1.0], [-1.0, 0.0, 0.0]],
+                             [[0.1], [1e22]], "surface")
+        volume = PointCloud([[1.0, 2.0, 3.0], [0.5, -0.25, 1e-300]], None,
+                            np.zeros((2, 0)), "volume")
+        rec = SampleRecord(surface=surface, volume=volume,
+                           pressure=[third, -0.0],
+                           velocity=[[0.1, 0.2, 0.3], [-1.0, 1e-300, 4.0]],
+                           drag=0.1)
+        save_sample(rec, tmp_path / "s0")
+        expected = {
+            "surface.txt": "2 1 1\n"
+                           "0.10000000000000001 -0 0.33333333333333331 0 -0 1 "
+                           "0.10000000000000001\n"
+                           "1e-300 2.5 -7 -1 0 0 1e+22\n",
+            "volume.txt": "2 0 0\n"
+                          "1 2 3\n"
+                          "0.5 -0.25 1e-300\n",
+            "pressure.txt": "0.33333333333333331\n-0\n",
+            "velocity.txt": "0.10000000000000001 0.20000000000000001 "
+                            "0.29999999999999999\n"
+                            "-1 1e-300 4\n",
+            "cd.txt": "0.10000000000000001\n",
+        }
+        for name, text in expected.items():
+            assert (tmp_path / "s0" / name).read_text() == text, name
+        back = load_sample(tmp_path / "s0")
+        assert back.surface.positions.tobytes() == surface.positions.tobytes()
+        assert back.pressure.tobytes() == rec.pressure.tobytes()
+
+    @pytest.mark.parametrize("name,blank_at,bad_at", [
+        ("surface.txt", 2, 4), ("pressure.txt", 0, 3)])
+    def test_line_numbers_count_blank_lines(self, tmp_path, name, blank_at,
+                                            bad_at):
+        save_sample(make_record(), tmp_path / "s0")
+        lines = (tmp_path / "s0" / name).read_text().splitlines()
+        lines.insert(blank_at, "")
+        lines[bad_at - 1] = lines[bad_at - 1].replace(
+            lines[bad_at - 1].split()[0], "oops", 1)
+        (tmp_path / "s0" / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(SampleFormatError, match=f"{name}:{bad_at}: "):
+            load_sample(tmp_path / "s0")
+
+    def test_non_unit_normal_is_format_error(self, tmp_path):
+        save_sample(make_record(), tmp_path / "s0")
+        path = tmp_path / "s0" / "surface.txt"
+        lines = path.read_text().splitlines()
+        lines[2] = "0 0 0 2 0 0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SampleFormatError, match="surface.txt: normals"):
+            load_sample(tmp_path / "s0")
+
+    def test_negative_feature_count_is_format_error(self, tmp_path):
+        save_sample(make_record(), tmp_path / "s0")
+        path = tmp_path / "s0" / "surface.txt"
+        lines = path.read_text().splitlines()
+        # rows as wide as the header claims: 3 + 3 normals - 1
+        lines = ["4 -1 1"] + [" ".join(ln.split()[:5]) for ln in lines[1:]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SampleFormatError, match="surface.txt:1: C_u"):
+            load_sample(tmp_path / "s0")
+
     def test_zero_feature_sample(self, tmp_path):
         rec = make_record()
         save_sample(rec, tmp_path / "s0")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from aerosurrogate.pointcloud import PointCloud
-from aerosurrogate.datagen import fibonacci_sphere
+from aerosurrogate.datagen import DatasetSpec, fibonacci_sphere, generate_records
+from aerosurrogate.rng import SplitMix64
 from aerosurrogate.sampling import (
     SamplingConfig, estimate_curvature, sample_random, sample_curvature,
     sample_adaptive, sample_indices, write_index_file, read_index_file,
@@ -19,6 +20,96 @@ def cloud_from(points):
 def grid_plane(n_side=12, z=0.0):
     xs, ys = np.meshgrid(np.linspace(0, 1, n_side), np.linspace(0, 1, n_side))
     return np.column_stack([xs.ravel(), ys.ravel(), np.full(n_side ** 2, z)])
+
+
+def oracle_curvature(cloud, k):
+    """Per-point reference: chunked brute-force k-NN with a stable sort,
+    then the eigenvalues of each neighbourhood covariance one at a time."""
+    pos = cloud.positions
+    n = pos.shape[0]
+    kappa = np.empty(n, dtype=np.float64)
+    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
+    sq = np.einsum("ij,ij->i", pos, pos)
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * pos[start:stop] @ pos.T
+        order = np.argsort(d2, axis=1, kind="stable")[:, 1:k + 1]
+        for row, nbrs in enumerate(order):
+            pts = pos[nbrs]
+            centered = pts - pts.mean(axis=0)
+            cov = centered.T @ centered / k
+            eig = np.linalg.eigvalsh(cov)
+            total = float(eig.sum())
+            kappa[start + row] = 0.0 if total < 1e-18 \
+                else max(0.0, float(eig[0]) / total)
+    return kappa
+
+
+def oracle_adaptive(cloud, config):
+    """Set-based reference: curvature budget, per-voxel uniform draws, then
+    a top-up walk down the curvature order."""
+    n_total = cloud.n_points
+    n = config.n_points
+    if n >= n_total:
+        return list(range(n_total))
+    kappa = oracle_curvature(cloud, config.knn_k)
+    curv_order = np.lexsort((np.arange(n_total), -kappa))
+    selected = set(int(i) for i in curv_order[:min(math.ceil(
+        config.curvature_fraction * n), n)])
+    remaining = np.array([i for i in range(n_total) if i not in selected],
+                         dtype=np.int64)
+    n_rest = n - len(selected)
+    if n_rest > 0 and len(remaining) > 0:
+        pos = cloud.positions
+        lo, hi = pos.min(axis=0), pos.max(axis=0)
+        extent = np.where(hi - lo > 0, hi - lo, 1.0)
+        g = config.grid_cells
+        cells = np.minimum(((pos[remaining] - lo) / extent * g).astype(np.int64),
+                           g - 1)
+        cell_ids = (cells[:, 0] * g + cells[:, 1]) * g + cells[:, 2]
+        order = np.argsort(cell_ids, kind="stable")
+        _, starts = np.unique(cell_ids[order], return_index=True)
+        groups = np.split(remaining[order], starts[1:])
+        occupancy = np.array([len(grp) for grp in groups], dtype=np.float64)
+        # largest-remainder apportionment of n_rest, ties to the lower cell
+        exact = np.ceil(np.sqrt(occupancy))
+        exact *= n_rest / exact.sum()
+        quota = np.floor(exact).astype(np.int64)
+        by_remainder = np.lexsort((np.arange(len(exact)), -(exact - quota)))
+        quota[by_remainder[:n_rest - int(quota.sum())]] += 1
+        quota = np.minimum(quota, occupancy.astype(np.int64))
+        rng = SplitMix64(config.seed)
+        for grp, q in zip(groups, quota):
+            if q > 0:
+                picks = rng.sample_without_replacement(len(grp), int(q))
+                selected.update(int(grp[p]) for p in picks)
+    for i in curv_order:
+        if len(selected) == n:
+            break
+        selected.add(int(i))
+    return sorted(selected)
+
+
+def tie_clouds():
+    """Clouds with exact distance and curvature ties and duplicate points."""
+    rng = np.random.default_rng(17)
+    dup = rng.normal(size=(40, 3))
+    raised = grid_plane(11)
+    raised[[5, 17, 60], 2] = 0.25
+    return {
+        "grid_plane": grid_plane(12),
+        "raised_grid": raised,
+        "rounded": np.round(rng.normal(size=(150, 3)), 1),
+        "integer_lattice": rng.integers(0, 3, size=(120, 3)).astype(float),
+        "duplicates": dup[rng.integers(0, 40, size=130)],
+        "sphere": fibonacci_sphere(160) * [2.0, 1.0, 0.7],
+        "generated": generate_records(
+            DatasetSpec(n_samples=1, n_surface=300, n_volume=8, seed=5))[0]
+        .surface.positions,
+    }
+
+
+TIE_CLOUDS = tie_clouds()
 
 
 class TestCurvature:
@@ -50,6 +141,32 @@ class TestCurvature:
         k1 = estimate_curvature(cloud_from(pts), k=12)
         k2 = estimate_curvature(cloud_from(pts @ rot.T), k=12)
         assert np.abs(k1 - k2).max() < 1e-9
+
+
+class TestMatchesOracles:
+    @pytest.mark.parametrize("name", list(TIE_CLOUDS))
+    @pytest.mark.parametrize("k", [3, 8, 16])
+    def test_curvature_bit_exact(self, name, k):
+        c = cloud_from(TIE_CLOUDS[name])
+        assert estimate_curvature(c, k).tobytes() == \
+            oracle_curvature(c, k).tobytes()
+
+    @pytest.mark.parametrize("name", list(TIE_CLOUDS))
+    @pytest.mark.parametrize("n,fraction,cells", [
+        (10, 0.5, 4), (37, 0.05, 16), (60, 0.95, 1), (90, 0.3, 3),
+        (100, 0.05, 8)])   # the last two reach the top-up on some clouds
+    def test_adaptive_exact(self, name, n, fraction, cells):
+        c = cloud_from(TIE_CLOUDS[name])
+        cfg = SamplingConfig(n_points=n, seed=n, knn_k=6,
+                             curvature_fraction=fraction, grid_cells=cells)
+        assert sample_adaptive(c, cfg) == oracle_adaptive(c, cfg)
+
+    @pytest.mark.parametrize("name", list(TIE_CLOUDS))
+    def test_curvature_sampler_exact(self, name):
+        c = cloud_from(TIE_CLOUDS[name])
+        kappa = oracle_curvature(c, 8)
+        top = np.lexsort((np.arange(len(kappa)), -kappa))[:25]
+        assert sample_curvature(c, 25, k=8) == sorted(int(i) for i in top)
 
 
 class TestRandomSampler:
