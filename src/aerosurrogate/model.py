@@ -163,12 +163,15 @@ def forward_graph(state: ModelState, surface: PointCloud,
                   volume: PointCloud | None,
                   params_t: dict[str, Tensor] | None = None
                   ) -> tuple[Tensor, Tensor, Tensor | None]:
-    """Differentiable forward pass.
+    """The forward pass, for training and inference alike.
 
     Returns (drag, pressure, velocity) Tensors; velocity is None when no
     volume points are supplied. Inputs are assumed already normalized with
-    the model's stats. params_t maps parameter names to Tensors (training);
-    by default the ndarrays of state.params are used.
+    the model's stats. params_t maps parameter names to Tensors with
+    requires_grad set (training), and the outputs then carry the graph
+    that backward() differentiates. By default the ndarrays of
+    state.params are used: no gradient can flow, so no graph is recorded
+    and the outputs are plain value Tensors.
     """
     config = state.config
     dtype = config.dtype

@@ -384,14 +384,32 @@ def write_manifest(root, sample_dirs: list[str], splits: dict[str, str] | None =
 
 
 def read_manifest(root) -> dict:
+    """Read and check manifest.json; every malformed manifest is a
+    SampleFormatError that names the file."""
     root = Path(root)
     path = root / "manifest.json"
     if not path.is_file():
         raise SampleFormatError(f"missing manifest: {path}")
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as e:
+        raise SampleFormatError(f"{path}: invalid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise SampleFormatError(f"{path}: manifest must be a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise SampleFormatError(
             f"{path}: unsupported format_version {manifest.get('format_version')}")
+    if "samples" not in manifest:
+        raise SampleFormatError(f"{path}: missing 'samples' key")
+    samples = manifest["samples"]
+    if not isinstance(samples, list) or \
+            not all(isinstance(s, str) for s in samples):
+        raise SampleFormatError(f"{path}: 'samples' must be a list of strings")
+    splits = manifest.get("splits", {})
+    if not isinstance(splits, dict) or \
+            not all(v in ("train", "val") for v in splits.values()):
+        raise SampleFormatError(
+            f"{path}: 'splits' must map samples to \"train\" or \"val\"")
     return manifest
 
 

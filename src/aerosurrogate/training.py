@@ -94,8 +94,8 @@ def composite_loss_t(drag: Tensor, pressure: Tensor, velocity: Tensor,
     return total, components
 
 
-def _loss_graph(state: ModelState, record: SampleRecord,
-                weights: LossWeights, params_t: dict) -> tuple[Tensor, dict]:
+def _loss_graph(state: ModelState, record: SampleRecord, weights: LossWeights,
+                params_t: dict | None = None) -> tuple[Tensor, dict]:
     return composite_loss_t(*forward_graph(state, record.surface,
                                            record.volume, params_t),
                             record, weights)
@@ -140,6 +140,7 @@ class TrainResult:
     log_rows: list[dict]          # per-step rows
     epoch_losses: list[float]     # mean total loss per epoch
     best_epoch: int = -1
+    val_losses: list[float] = field(default_factory=list)  # per epoch
 
 
 def _wrap_params(state: ModelState) -> dict[str, Tensor]:
@@ -168,11 +169,16 @@ def train(records: list[SampleRecord], model_config: ModelConfig,
           out_dir=None, max_steps: int | None = None,
           stats: NormalizationStats | None = None) -> TrainResult:
     """Train on raw (unnormalized) records; one Adam step per sample, epoch
-    order shuffled by the seeded generator."""
+    order shuffled by the seeded generator.
+
+    With val_records, the mean validation loss is computed after every
+    epoch and picks checkpoint_best.bin and best_epoch; without them the
+    mean training loss of the epoch does."""
     if not records:
         raise ValueError("need at least one training sample")
     stats = stats or compute_stats(records)
     normed = [normalize(r, stats) for r in records]
+    val_normed = [normalize(r, stats) for r in val_records or []]
     state = init_model(model_config, stats)
     moments = AdamState.fresh(state.params)
     rng = SplitMix64(derive_seed(train_config.seed, 0x5A17))
@@ -182,6 +188,7 @@ def train(records: list[SampleRecord], model_config: ModelConfig,
 
     rows: list[dict] = []
     epoch_losses: list[float] = []
+    val_losses: list[float] = []
     best = np.inf
     best_epoch = -1
     step = 0
@@ -203,8 +210,14 @@ def train(records: list[SampleRecord], model_config: ModelConfig,
         if out_dir is not None and train_config.checkpoint_every and \
                 (epoch + 1) % train_config.checkpoint_every == 0:
             save_checkpoint(state, out_dir / f"checkpoint_epoch{epoch + 1}.bin")
-        if epoch_losses[-1] < best:
-            best = epoch_losses[-1]
+        score = epoch_losses[-1]
+        if val_normed:
+            val_losses.append(float(np.mean(
+                [float(_loss_graph(state, r, train_config.weights)[0].value)
+                 for r in val_normed])))
+            score = val_losses[-1]
+        if score < best:
+            best = score
             best_epoch = epoch
             if out_dir is not None:
                 save_checkpoint(state, out_dir / "checkpoint_best.bin")
@@ -214,7 +227,7 @@ def train(records: list[SampleRecord], model_config: ModelConfig,
         save_checkpoint(state, out_dir / "checkpoint_final.bin")
         write_loss_csv(rows, out_dir / "loss_log.csv")
     return TrainResult(state=state, log_rows=rows, epoch_losses=epoch_losses,
-                       best_epoch=best_epoch)
+                       best_epoch=best_epoch, val_losses=val_losses)
 
 
 def write_loss_csv(rows: list[dict], path) -> None:
@@ -291,8 +304,7 @@ def grad_check(model_config: ModelConfig | None = None, tolerance: float = 1e-5,
         analytic[corrupt_tensor] = analytic[corrupt_tensor] + 1.0
 
     def loss_value() -> float:
-        t, _ = _loss_graph(state, record, weights, _wrap_params(state))
-        return float(t.value)
+        return float(_loss_graph(state, record, weights)[0].value)
 
     per_tensor = {}
     for name, arr in state.params.items():

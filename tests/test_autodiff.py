@@ -1,5 +1,7 @@
 """Finite-difference checks for every autodiff primitive."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,61 @@ class TestEngine:
         out = ad.mul(c, x)
         out.backward()
         assert c.grad is None
+
+    def test_untracked_inputs_record_no_graph(self):
+        a = Tensor(rand(3, 4))
+        out = ad.gelu(ad.layer_norm(ad.matmul(a, rand(4, 4, seed=1)),
+                                    np.ones(4), np.zeros(4)))
+        assert not out.requires_grad
+        assert out._parents == ()
+        assert out._backward is None
+
+
+def graph_nodes(root):
+    """Every node reachable from root through _parents, root first."""
+    nodes, seen, stack = [], {id(root)}, [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return nodes
+
+
+def block(a, w, g, b):
+    """A small graph over every kind of primitive the model uses."""
+    h = ad.gelu(ad.layer_norm(ad.matmul(a, w), g, b))
+    s = ad.softmax(ad.reshape(ad.transpose(h), (2, 6)), axis=-1)
+    return ad.sum_(ad.square(ad.sub(s, ad.getitem(s, slice(0, 1)))))
+
+
+BLOCK_INPUTS = (rand(4, 3), rand(3, 3, seed=1), rand(3, seed=2) + 2.0,
+                rand(3, seed=3))
+
+
+class TestBackwardReleasesGraph:
+    def test_interior_nodes_cleared(self):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in BLOCK_INPUTS]
+        loss = block(*leaves)
+        interior = [n for n in graph_nodes(loss) if n._parents]
+        assert len(interior) > 20
+        loss.backward()
+        for node in interior:
+            assert node._parents == ()
+            assert node._backward is None
+            assert node.grad is None
+        assert all(t.grad is not None for t in leaves)
+
+    def test_activations_freed_while_output_is_referenced(self):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in BLOCK_INPUTS]
+        loss = block(*leaves)
+        values = [weakref.ref(n.value) for n in graph_nodes(loss)[1:]
+                  if n._parents]
+        assert all(v() is not None for v in values)
+        loss.backward()
+        assert all(v() is None for v in values)
+
+    def test_leaf_gradients_match_finite_differences(self):
+        fd_check(block, *BLOCK_INPUTS)

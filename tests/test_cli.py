@@ -106,6 +106,34 @@ class TestSample:
         assert err.startswith(f"error: {surface}")
 
 
+class TestMalformedManifest:
+    """A bad manifest.json is a runtime error (exit 1) naming the file."""
+
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"samples": ["s0000"], ', id="invalid_json"),
+        pytest.param('{"format_version": 1}', id="missing_samples"),
+        pytest.param('{"format_version": 1, "samples": "s0000"}',
+                     id="samples_not_list"),
+        pytest.param('{"format_version": 1, "samples": [0, 1]}',
+                     id="samples_not_strings"),
+        pytest.param('[{"format_version": 1, "samples": []}]',
+                     id="not_an_object"),
+        pytest.param('{"format_version": 1, "samples": [], "splits": []}',
+                     id="splits_not_object"),
+        pytest.param('{"format_version": 1, "samples": ["s0000"], '
+                     '"splits": {"s0000": "test"}}', id="unknown_split"),
+    ])
+    def test_train_exits_1(self, tmp_path, capsys, text):
+        data = gen(tmp_path, n=1)
+        manifest = data / "manifest.json"
+        manifest.write_text(text)
+        code, _, err = run(["train", "--data", str(data),
+                            "--out", str(tmp_path / "run"), "--epochs", "1"],
+                           capsys)
+        assert code == 1
+        assert err.startswith(f"error: {manifest}")
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("pipe")

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from aerosurrogate.model import (ModelConfig, init_model, forward,
-                                 predict_denormalized, save_checkpoint,
-                                 load_checkpoint, CheckpointError)
+                                 forward_graph, predict_denormalized,
+                                 save_checkpoint, load_checkpoint,
+                                 CheckpointError)
 from aerosurrogate.pointcloud import PointCloud, compute_stats, normalize
 from aerosurrogate.datagen import ShapeSpec, generate_sample
 from tests.test_physatt import oracle_layer, oracle_layer_norm, oracle_gelu
@@ -117,6 +120,35 @@ class TestForward:
         assert abs(pred.drag - drag) < 1e-10
         np.testing.assert_allclose(pred.pressure, pressure, atol=1e-10)
         np.testing.assert_allclose(pred.velocity, velocity, atol=1e-10)
+
+
+class TestInferenceMemory:
+    """With ndarray parameters no gradient can flow, so the forward pass
+    records no graph and holds only its live activations."""
+
+    @staticmethod
+    def forward_peak(layers, surface, volume):
+        state = init_model(ModelConfig(layers=layers, channels=64, slices=16,
+                                       heads=4, seed=0))
+        tracemalloc.start()
+        try:
+            forward(state, surface, volume)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_depth(self):
+        surface, volume = tiny_clouds(n_s=2048, n_v=1024, seed=1)
+        deep = self.forward_peak(4, surface, volume)
+        shallow = self.forward_peak(1, surface, volume)
+        assert deep < 1.5 * shallow
+
+    def test_outputs_have_no_graph(self):
+        state = init_model(tiny_config(layers=2))
+        for out in forward_graph(state, *tiny_clouds()):
+            assert out._parents == ()
+            assert out._backward is None
+            assert not out.requires_grad
 
 
 class TestPredictDenormalized:

@@ -5,7 +5,9 @@ import pytest
 
 from aerosurrogate.autodiff import Tensor
 from aerosurrogate.datagen import DatasetSpec, generate_records
-from aerosurrogate.model import ModelConfig, init_model
+from aerosurrogate.model import (ModelConfig, forward_graph, init_model,
+                                 load_checkpoint)
+from aerosurrogate.pointcloud import normalize
 from aerosurrogate.training import (
     AdamState, DegenerateTargetError, GradCheckReport, LossWeights,
     TrainConfig, adam_step, composite_loss_t, grad_check, relative_l2, train,
@@ -242,6 +244,31 @@ class TestTrainLoop:
         assert len(csv) == 1 + len(res.log_rows)
         assert (tmp_path / "checkpoint_final.bin").is_file()
         assert (tmp_path / "checkpoint_best.bin").is_file()
+
+    def test_validation_loss_picks_best_checkpoint(self, tmp_path):
+        recs = tiny_dataset(4)
+        weights = LossWeights()
+        # a high rate makes the validation loss non-monotone, so its best
+        # epoch differs from the training loss's
+        res = train(recs[:2], tiny_model_config(),
+                    TrainConfig(epochs=8, seed=2, learning_rate=3e-2,
+                                weights=weights),
+                    val_records=recs[2:], out_dir=tmp_path)
+        assert len(res.val_losses) == 8
+        assert res.best_epoch == int(np.argmin(res.val_losses))
+        assert res.best_epoch != int(np.argmin(res.epoch_losses))
+        best = load_checkpoint(tmp_path / "checkpoint_best.bin")
+        val = [normalize(r, best.stats) for r in recs[2:]]
+        losses = [float(composite_loss_t(
+            *forward_graph(best, r.surface, r.volume), r, weights)[0].value)
+            for r in val]
+        assert np.mean(losses) == pytest.approx(min(res.val_losses), rel=1e-12)
+
+    def test_without_validation_training_loss_picks_best(self):
+        res = train(tiny_dataset(2), tiny_model_config(),
+                    TrainConfig(epochs=3, seed=2, learning_rate=3e-2))
+        assert res.val_losses == []
+        assert res.best_epoch == int(np.argmin(res.epoch_losses))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
