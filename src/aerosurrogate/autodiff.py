@@ -23,27 +23,25 @@ class Tensor:
     def __init__(self, value, requires_grad=False, parents=(), backward=None):
         self.value = np.asarray(value)
         self.grad = None
-        tracked = any(p.requires_grad for p in parents)
-        self.requires_grad = requires_grad or tracked
-        # an op on untracked inputs keeps neither its inputs nor its closure
-        self._parents = parents if tracked else ()
-        self._backward = backward if tracked else None
+        # only inputs a gradient can reach are kept as parents (a closure
+        # holds the others), and an op on untracked inputs keeps no closure
+        self._parents = tuple(p for p in parents if p.requires_grad)
+        self.requires_grad = requires_grad or bool(self._parents)
+        self._backward = backward if self._parents else None
 
     @property
     def shape(self):
         return self.value.shape
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.value)
-
     def backward(self):
         """Accumulate d(self)/d(leaf) into the grad of every reachable leaf
-        with requires_grad set. The graph is consumed on the way: once an
-        interior node's backward has run, its grad, parents and closure are
-        cleared, so interior gradients are freed as the walk goes and the
-        activations when it returns, even while the caller still holds
-        the output. Leaf gradients are kept; a second backward() through
-        the same interior nodes finds no graph."""
+        with requires_grad set. The graph is consumed on the way: each
+        interior node's grad is cleared once its backward has run, so
+        interior gradients are freed as the walk goes, and every node's
+        parents and closure (with the activations a closure saved) are
+        cleared when the walk ends, even while the caller still holds the
+        output. Leaf gradients are kept; a second backward() through the
+        same interior nodes finds no graph."""
         if self.value.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -65,44 +63,18 @@ class Tensor:
 
         visit(self)
         self.grad = np.ones_like(self.value)
-        # topo keeps every node's value alive until the walk ends: freed one
-        # by one in reverse creation order, the values let malloc hand the
-        # heap top back to the OS, and the gradients allocated next fault
-        # it in again (over twice the page faults of a desk-profile step)
         for node in reversed(topo):
             if node._backward is None:
                 continue
             if node.grad is not None:
                 node._backward(node.grad)
-            node.grad, node._parents, node._backward = None, (), None
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
+            node.grad = None
+        # the activations are released only now: freed one node at a time
+        # in reverse creation order, they let malloc hand the heap top back
+        # to the OS, and the gradients allocated next fault it in again
+        # (over twice the page faults of a desk-profile step)
+        for node in topo:
+            node._parents, node._backward = (), None
 
 
 def as_tensor(x) -> Tensor:
@@ -309,12 +281,47 @@ def softmax(a, axis=-1) -> Tensor:
     return div(e, sum_(e, axis=axis, keepdims=True))
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(c0*(x + c1*x^3)), the inner term of the GELU approximation."""
+    t = x * x
+    t *= x
+    t *= _GELU_C1
+    t += x
+    t *= _GELU_C0
+    return np.tanh(t, out=t)
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The gradient at x of gelu, given g at its output and
+    t = _gelu_tanh(x): g*(0.5*(1 + t) + 0.5*c0*x*(1 - t^2)*(1 + 3*c1*x^2))."""
+    s = x * x
+    s *= 3.0 * _GELU_C1
+    s += 1.0
+    s *= x
+    s *= 0.5 * _GELU_C0
+    u = t * t
+    np.subtract(1.0, u, out=u)
+    s *= u
+    np.multiply(t, 0.5, out=u)
+    u += 0.5
+    s += u
+    s *= g
+    return s
+
+
 def gelu(a) -> Tensor:
     """GELU, tanh approximation:
     0.5*x*(1 + tanh(c0*(x + c1*x^3))), c0=sqrt(2/pi), c1=0.044715."""
     a = as_tensor(a)
-    inner = mul(add(a, mul(mul(square(a), a), _GELU_C1)), _GELU_C0)
-    return mul(mul(a, add(tanh(inner), 1.0)), 0.5)
+    t = _gelu_tanh(a.value)
+    out_val = t + 1.0
+    out_val *= a.value
+    out_val *= 0.5
+
+    def backward(g):
+        _accum(a, _gelu_grad(g, a.value, t))
+
+    return Tensor(out_val, parents=(a,), backward=backward)
 
 
 def layer_norm(a, gain, bias, eps=1e-5) -> Tensor:

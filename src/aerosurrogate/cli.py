@@ -158,6 +158,10 @@ def cmd_train(args) -> int:
     print(Path(args.out) / "checkpoint_final.bin")
     if result.epoch_losses:
         print(f"final epoch loss {result.epoch_losses[-1]:.6g}")
+    if result.val_losses:
+        print(f"best epoch {result.best_epoch + 1} of "
+              f"{len(result.val_losses)}, validation loss "
+              f"{result.val_losses[result.best_epoch]:.6g}")
     return 0
 
 

@@ -6,10 +6,11 @@ tokens, tokens attend to each other, and the result is broadcast back to
 the points through the same slice weights. The layer wraps this in the
 canonical pre-norm Transformer block.
 
-Each stage exists once, as a graph function on autodiff Tensors that
-carries the heads as a leading axis (slice weights are (H, N, M)), so all
-heads run in batched matmuls. The ndarray wrappers at the end call the
-same stages with one head.
+Each stage exists once, as an ndarray function that carries the heads as
+a leading axis (slice weights are (H, M, N)), so all heads run in batched
+matmuls. attention_block_t runs the whole block as one autodiff node: its
+forward calls the stages and its backward is derived by hand. The
+ndarray wrappers at the end call the same stages with one head.
 """
 
 from dataclasses import dataclass, fields
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _accum, _gelu_grad, _gelu_tanh
 from .rng import SplitMix64
 
 LAYER_NORM_EPS = 1e-5
@@ -57,10 +58,6 @@ class LayerParams:
     ln2_gain: np.ndarray
     ln2_bias: np.ndarray
     heads: int = 1
-
-    @property
-    def channels(self) -> int:
-        return self.slice_proj.shape[0]
 
     @property
     def slices(self) -> int:
@@ -117,77 +114,198 @@ def init_layer_params(channels: int, slices: int, heads: int, ffn_width: int,
 
 
 # ---------------------------------------------------------------------------
-# stages, on Tensors with the heads as the leading axis
+# stages, on ndarrays with the heads batched. Slice weights are stored as
+# (H, M, N), each head's (N, M) weights transposed, so that the softmax
+# over M reduces across whole rows of points.
 
 
-def _split_heads(x, heads: int) -> Tensor:
-    """(N, C) -> (H, N, C/H): column block i becomes head i."""
-    n, c = x.shape
-    return ad.transpose(ad.reshape(x, (n, heads, c // heads)), (1, 0, 2))
+def _heads(t: np.ndarray, heads: int) -> np.ndarray:
+    """(K, C) -> (H, K, C/H) view: column block h becomes head h."""
+    return t.reshape(t.shape[0], heads, -1).transpose(1, 0, 2)
 
 
-def _merge_heads(x) -> Tensor:
-    """(H, N, C/H) -> (N, C), the inverse of _split_heads."""
-    h, n, ch = x.shape
-    return ad.reshape(ad.transpose(x, (1, 0, 2)), (n, h * ch))
+def _merge(t: np.ndarray) -> np.ndarray:
+    """(H, K, C/H) -> (K, C), the inverse of _heads."""
+    return t.transpose(1, 0, 2).reshape(t.shape[1], -1)
 
 
-def slice_weights_t(x, projection, bias, tau, heads: int) -> Tensor:
-    """Row-stochastic slice weights (H, N, M): per head, softmax over M of
-    (x.P_h + b_h)/tau, where P_h is column block h of the projection."""
-    logits = ad.div(ad.add(ad.matmul(x, projection), bias), tau)
-    if not np.all(np.isfinite(logits.value)):
+def _softmax(s: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax over axis, in place."""
+    s -= s.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
+    return s
+
+
+def _softmax_grad(d: np.ndarray, s: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient at the logits of s = softmax(logits, axis) from d at s,
+    in place of d."""
+    d -= (d * s).sum(axis=axis, keepdims=True)
+    d *= s
+    return d
+
+
+def _layer_norm(x: np.ndarray, gain, bias, keep: bool):
+    """(gain*normed + bias, normed, std) of the rows of x; unless keep,
+    the output overwrites normed. The row sums are a matrix-vector product
+    and an einsum: one pass each, with no temporary."""
+    avg = np.full(x.shape[-1], 1.0 / x.shape[-1])
+    normed = x - (x @ avg)[:, None]
+    std = np.sqrt(np.einsum("ij,ij->i", normed, normed)[:, None] * avg[0]
+                  + LAYER_NORM_EPS)
+    normed /= std
+    out = np.multiply(normed, gain, out=None if keep else normed)
+    out += bias
+    return out, normed, std
+
+
+def _layer_norm_grad(d: np.ndarray, normed, std, gain):
+    """(d input, d gain, d bias) of _layer_norm, given d at its output."""
+    avg = np.full(d.shape[-1], 1.0 / d.shape[-1])
+    d_normed = d * gain
+    d_x = normed * (np.einsum("ij,ij->i", d_normed, normed) * avg[0])[:, None]
+    d_x += (d_normed @ avg)[:, None]
+    np.subtract(d_normed, d_x, out=d_x)
+    d_x /= std
+    return d_x, np.einsum("ij,ij->j", d, normed), d.sum(axis=0)
+
+
+def _linear_grad(x: np.ndarray, d: np.ndarray, w: np.ndarray):
+    """(d w, d b, d x) of x @ w + b, given d at its output."""
+    return x.T @ d, d.sum(axis=0), d @ w.T
+
+
+def _slice_weights(x: np.ndarray, projection, bias, tau: float,
+                   heads: int) -> np.ndarray:
+    """Slice weights (H, M, N), stochastic over M: per head, softmax over
+    M of (x.P_h + b_h)/tau, where P_h is column block h of the projection."""
+    logits = projection.T @ x.T
+    logits += bias[:, None]
+    logits /= tau
+    if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite slice logits")
-    return ad.softmax(_split_heads(logits, heads), axis=-1)
+    return _softmax(logits.reshape(heads, -1, x.shape[0]), axis=1)
 
 
-def aggregate_tokens_t(x, w) -> Tensor:
-    """Weighted-mean tokens (H, M, C/H) of points x (H, N, C/H):
-    z_j = sum_i w_ij x_i / sum_i w_ij."""
-    num = ad.matmul(ad.transpose(w, (0, 2, 1)), x)
-    denom = ad.maximum_const(ad.sum_(w, axis=1), _TOKEN_DENOM_FLOOR)
-    return ad.div(num, ad.reshape(denom, denom.shape + (1,)))
+def _aggregate(x: np.ndarray, w: np.ndarray):
+    """Weighted-mean tokens (M, C) of points x (N, C) under w (H, M, N):
+    per head z_j = sum_i w_ij x_i / sum_i w_ij. Also returns the
+    denominators (H, M), floored."""
+    denom = np.maximum(w.sum(axis=2), _TOKEN_DENOM_FLOOR)
+    num = w @ _heads(x, w.shape[0])
+    return _merge(num / denom[..., None]), denom
 
 
-def token_attention_t(z, w_q, b_q, w_k, b_k, w_v, b_v,
-                      w_o, b_o) -> Tensor:
-    """Self-attention among the tokens z (H, M, C/H) of each head at scale
-    sqrt(C/H). The Q/K/V and output projections act on all C channels."""
-    h, _, ch = z.shape
-    zc = _merge_heads(z)
-    q = _split_heads(ad.add(ad.matmul(zc, w_q), b_q), h)
-    k = _split_heads(ad.add(ad.matmul(zc, w_k), b_k), h)
-    v = _split_heads(ad.add(ad.matmul(zc, w_v), b_v), h)
-    logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(ch))
-    attended = _merge_heads(ad.matmul(ad.softmax(logits, axis=-1), v))
-    return _split_heads(ad.add(ad.matmul(attended, w_o), b_o), h)
+def _attend(z: np.ndarray, heads: int, w_q, b_q, w_k, b_k, w_v, b_v,
+            w_o, b_o):
+    """Self-attention among the tokens z (M, C) of each head at scale
+    sqrt(C/H). The Q/K/V and output projections act on all C channels.
+    Returns the output (M, C) and (q, k, v, attention, mixed values)."""
+    q, k, v = (_heads(z @ w + b, heads)
+               for w, b in ((w_q, b_q), (w_k, b_k), (w_v, b_v)))
+    attn = _softmax(q @ k.transpose(0, 2, 1) * (1.0 / math.sqrt(q.shape[2])),
+                    axis=-1)
+    mixed = _merge(attn @ v)
+    return mixed @ w_o + b_o, (q, k, v, attn, mixed)
 
 
-def deslice_t(z_prime, w) -> Tensor:
-    """Broadcast transformed tokens back to points: x'_i = sum_j w_ij z'_j,
-    (H, M, C/H) -> (H, N, C/H)."""
-    return ad.matmul(w, z_prime)
-
-
-def physics_attention_t(x: Tensor, p: LayerParams) -> Tensor:
-    """Multi-head physics attention on x (N, C):
-    deslice(token_attention(aggregate(slice(x)))), all heads at once."""
-    w = slice_weights_t(x, p.slice_proj, p.slice_bias, ad.exp(p.log_tau), p.heads)
-    z = aggregate_tokens_t(_split_heads(x, p.heads), w)
-    z_prime = token_attention_t(z, p.w_q, p.b_q, p.w_k, p.b_k, p.w_v, p.b_v,
-                                p.w_o, p.b_o)
-    return _merge_heads(deslice_t(z_prime, w))
+def _deslice(w: np.ndarray, z_prime: np.ndarray) -> np.ndarray:
+    """Tokens (M, C) back to the points through w (H, M, N): per head
+    x'_i = sum_j w_ij z'_j. Returns (N, C)."""
+    out = np.empty((w.shape[2], z_prime.shape[1]), np.result_type(w, z_prime))
+    np.matmul(w.transpose(0, 2, 1), _heads(z_prime, w.shape[0]),
+              out=_heads(out, w.shape[0]))
+    return out
 
 
 def attention_block_t(x: Tensor, p: LayerParams) -> Tensor:
-    """Pre-norm residual block:
-    x_hat = PhysicsAttn(LN(x)) + x; out = FFN(LN(x_hat)) + x_hat."""
-    attn_in = ad.layer_norm(x, p.ln1_gain, p.ln1_bias, eps=LAYER_NORM_EPS)
-    x_hat = ad.add(physics_attention_t(attn_in, p), x)
-    ffn_in = ad.layer_norm(x_hat, p.ln2_gain, p.ln2_bias, eps=LAYER_NORM_EPS)
-    hidden = ad.gelu(ad.add(ad.matmul(ffn_in, p.ffn_w1), p.ffn_b1))
-    ffn_out = ad.add(ad.matmul(hidden, p.ffn_w2), p.ffn_b2)
-    return ad.add(ffn_out, x_hat)
+    """Pre-norm residual block as one autodiff node, with x and the fields
+    of p as its parents:
+    x_hat = PhysicsAttn(LN(x)) + x; out = FFN(LN(x_hat)) + x_hat.
+
+    Computed in float64 on ndarrays. The activations the hand-derived
+    backward needs are kept only when x or a field of p requires a
+    gradient; otherwise the norms and the GELU work in place and each
+    activation is dropped once used."""
+    parents = (ad.as_tensor(x),) + tuple(ad.as_tensor(v)
+                                         for _, v in p.named_arrays())
+    keep = any(t.requires_grad for t in parents)
+    h, p = p.heads, LayerParams(heads=p.heads, **{
+        name: np.asarray(t.value, dtype=np.float64)
+        for (name, _), t in zip(p.named_arrays(), parents[1:])})
+    a, normed1, std1 = _layer_norm(np.asarray(parents[0].value, np.float64),
+                                   p.ln1_gain, p.ln1_bias, keep)
+    tau = math.exp(p.log_tau)
+    w = _slice_weights(a, p.slice_proj, p.slice_bias, tau, h)
+    z, denom = _aggregate(a, w)
+    z_prime, (q, k, v, attn, mixed) = _attend(
+        z, h, p.w_q, p.b_q, p.w_k, p.b_k, p.w_v, p.b_v, p.w_o, p.b_o)
+    x_hat = _deslice(w, z_prime)
+    x_hat += parents[0].value
+    if not keep:
+        del a, normed1, w
+    f, normed2, std2 = _layer_norm(x_hat, p.ln2_gain, p.ln2_bias, keep)
+    pre = f @ p.ffn_w1
+    pre += p.ffn_b1
+    if not keep:
+        del f, normed2
+    th = _gelu_tanh(pre)
+    hidden = np.add(th, 1.0, out=None if keep else th)
+    hidden *= pre
+    hidden *= 0.5
+    if not keep:
+        del pre
+    out = hidden @ p.ffn_w2
+    out += p.ffn_b2
+    out += x_hat
+    if not keep:
+        return Tensor(out)
+
+    def backward(g):
+        d = {}
+        d["ffn_w2"], d["ffn_b2"], d_hidden = _linear_grad(hidden, g, p.ffn_w2)
+        d["ffn_w1"], d["ffn_b1"], d_f = _linear_grad(
+            f, _gelu_grad(d_hidden, pre, th), p.ffn_w1)
+        d_x_hat, d["ln2_gain"], d["ln2_bias"] = _layer_norm_grad(
+            d_f, normed2, std2, p.ln2_gain)
+        d_x_hat += g
+        d_y = _heads(d_x_hat, h)
+        d_w = _heads(z_prime, h) @ d_y.transpose(0, 2, 1)
+        d["w_o"], d["b_o"], d_mixed = _linear_grad(mixed, _merge(w @ d_y),
+                                                   p.w_o)
+        d_mixed = _heads(d_mixed, h)
+        d_s = _softmax_grad(d_mixed @ v.transpose(0, 2, 1), attn, axis=-1)
+        d_s *= 1.0 / math.sqrt(q.shape[2])
+        d_z = 0.0
+        for name, d_t in (("q", d_s @ k), ("k", d_s.transpose(0, 2, 1) @ q),
+                          ("v", attn.transpose(0, 2, 1) @ d_mixed)):
+            d["w_" + name], d["b_" + name], d_z_t = _linear_grad(
+                z, _merge(d_t), getattr(p, "w_" + name))
+            d_z = d_z + d_z_t
+        # token aggregation: through the numerators, and the denominators
+        # where they are above the floor
+        d_num = _heads(d_z, h) / denom[..., None]
+        d_w += d_num @ _heads(a, h).transpose(0, 2, 1)
+        d_w -= ((d_num * _heads(z, h)).sum(axis=-1)
+                * (denom > _TOKEN_DENOM_FLOOR))[..., None]
+        d_a = np.empty_like(a)
+        np.matmul(w.transpose(0, 2, 1), d_num, out=_heads(d_a, h))
+        # logits = (a.P + b)/tau, so d log_tau = -sum(d_lin * (a.P + b)),
+        # which is -(P.dP + b.db)
+        d_lin = _softmax_grad(d_w, w, axis=1).reshape(-1, a.shape[0]).T
+        d_lin /= tau
+        d["slice_proj"], d["slice_bias"], d_a_slice = _linear_grad(
+            a, d_lin, p.slice_proj)
+        d["log_tau"] = -np.asarray(np.vdot(p.slice_proj, d["slice_proj"])
+                                   + np.vdot(p.slice_bias, d["slice_bias"]))
+        d_x, d["ln1_gain"], d["ln1_bias"] = _layer_norm_grad(
+            d_a + d_a_slice, normed1, std1, p.ln1_gain)
+        d_x += d_x_hat
+        grads = [d_x] + [d[name] for name, _ in p.named_arrays()]
+        for t, d_t in zip(parents, grads):
+            _accum(t, d_t)
+
+    return Tensor(out, parents=parents, backward=backward)
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +314,24 @@ def attention_block_t(x: Tensor, p: LayerParams) -> Tensor:
 
 def slice_weights(x: np.ndarray, projection: np.ndarray, bias: np.ndarray,
                   tau: float) -> np.ndarray:
-    return slice_weights_t(x, projection, bias, tau, heads=1).value[0]
+    return _slice_weights(x, projection, bias, tau, heads=1)[0].T
 
 
 def aggregate_tokens(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     if x.shape[0] != w.shape[0]:
         raise ValueError(f"point counts differ: x has {x.shape[0]}, w has {w.shape[0]}")
-    return aggregate_tokens_t(x[None], w[None]).value[0]
+    return _aggregate(x, w.T[None])[0]
 
 
 def token_attention(z: np.ndarray, w_q, b_q, w_k, b_k, w_v, b_v,
                     w_o, b_o) -> np.ndarray:
-    return token_attention_t(z[None], w_q, b_q, w_k, b_k, w_v, b_v,
-                             w_o, b_o).value[0]
+    return _attend(z, 1, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o)[0]
 
 
 def deslice(z_prime: np.ndarray, w: np.ndarray) -> np.ndarray:
     if z_prime.shape[0] != w.shape[1]:
         raise ValueError("token count mismatch between z' and w")
-    return deslice_t(z_prime[None], w[None]).value[0]
+    return _deslice(w.T[None], z_prime)
 
 
 def attention_block(x: np.ndarray, p: LayerParams) -> np.ndarray:

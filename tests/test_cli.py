@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ import pytest
 from aerosurrogate.cli import main
 from aerosurrogate.model import (CheckpointError, ModelConfig, init_model,
                                  load_checkpoint, save_checkpoint)
-from aerosurrogate.pointcloud import load_sample, read_manifest
+from aerosurrogate.model import forward_graph
+from aerosurrogate.pointcloud import (load_dataset, load_sample, normalize,
+                                      read_manifest)
+from aerosurrogate.training import LossWeights, composite_loss_t
 from aerosurrogate.sampling import read_index_file
 
 
@@ -189,6 +193,40 @@ class TestTrainPredictEvaluate:
         code = main(["evaluate", "--checkpoint", str(bad), "--data", str(data),
                      "--out", str(tmp_path_local / "e")])
         assert code == 1
+
+
+class TestTrainReport:
+    ARGS = ["--epochs", "3", "--layers", "1", "--channels", "8", "--slices",
+            "2", "--heads", "2", "--seed", "1"]
+
+    def test_prints_best_validation_epoch(self, tmp_path, capsys):
+        data = gen(tmp_path, n=5)   # sample_0003 and sample_0004 are "val"
+        _, val_recs = load_dataset(data)
+        assert len(val_recs) == 2
+        run_dir = tmp_path / "run"
+        code, out, _ = run(["train", "--data", str(data), "--out", str(run_dir),
+                            *self.ARGS], capsys)
+        assert code == 0
+        m = re.search(r"^best epoch ([1-3]) of 3, validation loss (\S+)$", out,
+                      re.M)
+        assert m, out
+        best = load_checkpoint(run_dir / "checkpoint_best.bin")
+        losses = []
+        for rec in val_recs:
+            r = normalize(rec, best.stats)
+            losses.append(float(composite_loss_t(
+                *forward_graph(best, r.surface, r.volume), r,
+                LossWeights())[0].value))
+        assert float(m[2]) == pytest.approx(np.mean(losses), rel=1e-5)
+
+    def test_no_validation_line_without_val_split(self, tmp_path, capsys):
+        data = gen(tmp_path, n=3)   # all three samples are "train"
+        assert load_dataset(data)[1] == []
+        code, out, _ = run(["train", "--data", str(data),
+                            "--out", str(tmp_path / "run"), *self.ARGS], capsys)
+        assert code == 0
+        assert "final epoch loss" in out
+        assert "best epoch" not in out
 
 
 def tiny_checkpoint(path, edit=None, raw_header=None, state=None):

@@ -5,15 +5,17 @@ independent of the vectorized implementation they check.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from aerosurrogate import autodiff as ad
 from aerosurrogate.autodiff import Tensor
 from aerosurrogate.physatt import (
     LayerParams, init_layer_params, slice_weights, aggregate_tokens,
     token_attention, deslice, attention_block, attention_block_t,
-    physics_attention_t, LAYER_NORM_EPS)
+    LAYER_NORM_EPS)
 from aerosurrogate.rng import SplitMix64
 
 
@@ -152,6 +154,48 @@ def oracle_multihead_layer(x, p: LayerParams):
     h2 = oracle_layer_norm(x_hat, p.ln2_gain, p.ln2_bias)
     ffn = oracle_gelu(h2 @ p.ffn_w1 + p.ffn_b1) @ p.ffn_w2 + p.ffn_b2
     return ffn + x_hat
+
+
+def _split_heads(t, heads):
+    n, c = t.shape
+    return ad.transpose(ad.reshape(t, (n, heads, c // heads)), (1, 0, 2))
+
+
+def _merge_heads(t):
+    h, n, ch = t.shape
+    return ad.reshape(ad.transpose(t, (1, 0, 2)), (n, h * ch))
+
+
+def _gelu_graph(a):
+    inner = ad.mul(ad.add(a, ad.mul(ad.mul(ad.mul(a, a), a), 0.044715)),
+                   0.7978845608028654)
+    return ad.mul(ad.mul(a, ad.add(ad.tanh(inner), 1.0)), 0.5)
+
+
+def oracle_block_graph(x, p: LayerParams):
+    """The block as a graph of autodiff primitives, one node per operation
+    (layer_norm, softmax and _gelu_graph are compositions of them), so its
+    gradients come from the engine's per-op backward rules rather than
+    from the hand-derived backward of attention_block_t."""
+    h = p.heads
+    attn_in = ad.layer_norm(x, p.ln1_gain, p.ln1_bias, eps=LAYER_NORM_EPS)
+    logits = ad.div(ad.add(ad.matmul(attn_in, p.slice_proj), p.slice_bias),
+                    ad.exp(p.log_tau))
+    w = ad.softmax(_split_heads(logits, h), axis=-1)
+    num = ad.matmul(ad.transpose(w, (0, 2, 1)), _split_heads(attn_in, h))
+    denom = ad.maximum_const(ad.sum_(w, axis=1), 1e-30)
+    z = _merge_heads(ad.div(num, ad.reshape(denom, denom.shape + (1,))))
+    q = _split_heads(ad.add(ad.matmul(z, p.w_q), p.b_q), h)
+    k = _split_heads(ad.add(ad.matmul(z, p.w_k), p.b_k), h)
+    v = _split_heads(ad.add(ad.matmul(z, p.w_v), p.b_v), h)
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))),
+                    1.0 / math.sqrt(x.shape[1] // h))
+    mixed = _merge_heads(ad.matmul(ad.softmax(scores, axis=-1), v))
+    z_prime = _split_heads(ad.add(ad.matmul(mixed, p.w_o), p.b_o), h)
+    x_hat = ad.add(_merge_heads(ad.matmul(w, z_prime)), x)
+    ffn_in = ad.layer_norm(x_hat, p.ln2_gain, p.ln2_bias, eps=LAYER_NORM_EPS)
+    hidden = _gelu_graph(ad.add(ad.matmul(ffn_in, p.ffn_w1), p.ffn_b1))
+    return ad.add(ad.add(ad.matmul(hidden, p.ffn_w2), p.ffn_b2), x_hat)
 
 
 def random_params(c, m, heads=1, ffn=None, seed=0):
@@ -340,8 +384,8 @@ class TestLayer:
         params_t = {name: Tensor(a, requires_grad=True)
                     for (name, _), a in zip(p.named_arrays(), arrs)}
         out = attention_block_t(xt, LayerParams(**params_t, heads=p.heads))
-        loss = (out * out)
         from aerosurrogate import autodiff as ad
+        loss = ad.mul(out, out)
         ad.sum_(loss).backward()
 
         h = 1e-5
@@ -371,6 +415,66 @@ class TestLayer:
             fd = (up - down) / (2 * h)
             denom = max(abs(fd), abs(xt.grad.reshape(-1)[i]), 1e-6)
             assert abs(xt.grad.reshape(-1)[i] - fd) / denom < 1e-5
+
+
+class TestFusedBlock:
+    """attention_block_t is one autodiff node with a hand-derived backward;
+    the per-op graph of oracle_block_graph is its gradient oracle."""
+
+    @staticmethod
+    def gradients(block, x0, p, r):
+        x = Tensor(x0.copy(), requires_grad=True)
+        params = {name: Tensor(a.copy(), requires_grad=True)
+                  for name, a in p.named_arrays()}
+        out = block(x, LayerParams(heads=p.heads, **params))
+        ad.sum_(ad.mul(out, r)).backward()
+        return out.value, {"x": x.grad, **{n: t.grad for n, t in params.items()}}
+
+    @staticmethod
+    def params(heads, seed):
+        p = random_params(8, 3, heads=heads, ffn=12, seed=seed)
+        for i, (name, arr) in enumerate(p.named_arrays()):
+            if arr.ndim == 1:    # biases and gains start at 0 or 1
+                arr[...] = rand(arr.size, seed=40 + i)
+        return p
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_every_gradient_matches_oracle_graph(self, heads):
+        p = self.params(heads, seed=heads)
+        x0, r = rand(9, 8, seed=1), rand(9, 8, seed=2)
+        out, grads = self.gradients(attention_block_t, x0, p, r)
+        want_out, want = self.gradients(oracle_block_graph, x0, p, r)
+        np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-13)
+        assert set(grads) == set(want) and len(grads) == 20
+        for name, g in grads.items():
+            assert g.shape == want[name].shape, name
+            # q.b_k is the same for every key of a query, and softmax ignores
+            # a shift shared by a row, so d b_k is zero: both read rounding
+            scale = np.abs(want["w_k" if name == "b_k" else name]).max()
+            assert np.abs(g - want[name]).max() <= 1e-10 * scale, name
+
+    def test_training_forward_equals_inference_forward(self):
+        p = self.params(heads=2, seed=3)
+        x0 = rand(11, 8, seed=4)
+        out, _ = self.gradients(attention_block_t, x0, p, np.ones((11, 8)))
+        np.testing.assert_array_equal(attention_block(x0, p), out)
+
+    def test_untracked_call_keeps_no_graph_and_bounded_peak(self):
+        n, c, ffn = 8192, 64, 128
+        p = random_params(c, 16, heads=4, ffn=ffn, seed=8)
+        x = Tensor(rand(n, c, seed=9))
+        tracemalloc.start()
+        try:
+            out = attention_block_t(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        # live at once in the GELU: x_hat (N, C) and the pre-activation and
+        # its tanh (N, ffn), 2.5 N ffn 8 bytes here; the per-op graph
+        # peaked at 5.5 N ffn 8 bytes
+        assert peak < 3.0 * n * ffn * 8
 
 
 class TestInit:
