@@ -89,6 +89,20 @@ def _accum(t: Tensor, g: np.ndarray):
     t.grad = g if t.grad is None else t.grad + g
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """a and b as Tensors, an untracked 0-d operand (a Python float, say)
+    cast to the dtype of the other, as numpy casts a Python scalar, so a
+    constant does not turn float32 arithmetic into float64."""
+    a, b = as_tensor(a), as_tensor(b)
+    if b.value.ndim == 0 and not b.requires_grad:
+        b = Tensor(b.value.astype(np.result_type(a.value, b.value.item()),
+                                  copy=False))
+    elif a.value.ndim == 0 and not a.requires_grad:
+        a = Tensor(a.value.astype(np.result_type(b.value, a.value.item()),
+                                  copy=False))
+    return a, b
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum gradient over axes that were broadcast in the forward pass."""
     while g.ndim > len(shape):
@@ -100,7 +114,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_val = a.value + b.value
 
     def backward(g):
@@ -111,7 +125,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_val = a.value - b.value
 
     def backward(g):
@@ -122,7 +136,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_val = a.value * b.value
 
     def backward(g):
@@ -133,7 +147,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     out_val = a.value / b.value
 
     def backward(g):
@@ -220,13 +234,25 @@ def maximum_const(a, floor: float) -> Tensor:
     return Tensor(out_val, parents=(a,), backward=backward)
 
 
+def _is_basic(key) -> bool:
+    """Whether key is a slice, an integer or a tuple of them: an index
+    that selects each element at most once."""
+    return all(isinstance(k, (slice, int, np.integer))
+               and not isinstance(k, bool)
+               for k in (key if isinstance(key, tuple) else (key,)))
+
+
 def getitem(a, key) -> Tensor:
     a = as_tensor(a)
     out_val = a.value[key]
 
     def backward(g):
         full = np.zeros_like(a.value)
-        np.add.at(full, key, g)
+        if _is_basic(key):
+            full[key] = g
+        else:
+            # a fancy index may repeat an element, whose gradients add up
+            np.add.at(full, key, g)
         _accum(a, full)
 
     return Tensor(out_val, parents=(a,), backward=backward)

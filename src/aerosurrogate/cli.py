@@ -17,8 +17,8 @@ from .datagen import DatasetSpec, generate_dataset
 from .metrics import evaluate
 from .model import (CheckpointError, ModelConfig, load_checkpoint,
                     predict_denormalized)
-from .pointcloud import (SampleFormatError, load_dataset, load_sample,
-                         save_sample, save_targets)
+from .pointcloud import (SampleFormatError, load_dataset, load_geometry,
+                         load_sample, save_sample, save_targets)
 from .sampling import SamplingConfig, sample_indices, write_index_file
 from .training import LossWeights, TrainConfig, grad_check, train
 
@@ -169,8 +169,8 @@ def cmd_predict(args) -> int:
     cfg = _resolve(args, {})
     _print_config(args, cfg)
     state = load_checkpoint(args.checkpoint)
-    record = load_sample(args.input)
-    pred = predict_denormalized(state, record.surface, record.volume)
+    surface, volume = load_geometry(args.input)
+    pred = predict_denormalized(state, surface, volume)
     save_targets(args.out, pred.pressure, pred.velocity, pred.drag)
     print(Path(args.out))
     return 0
@@ -264,10 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="predict one sample from a checkpoint")
+    p = sub.add_parser("predict", help="predict one geometry from a checkpoint")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--in", dest="input", required=True)
+    p.add_argument("--in", dest="input", required=True,
+                   help="directory with surface.txt and, optionally, volume.txt")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 

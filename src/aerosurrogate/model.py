@@ -17,7 +17,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .physatt import (LayerParams, init_layer_params, attention_block_t,
                       uniform_init)
-from .pointcloud import NormalizationStats, PointCloud, normalize_cloud
+from .pointcloud import (NormalizationStats, PointCloud, SampleFormatError,
+                         normalize_cloud)
 from .rng import SplitMix64
 
 CHECKPOINT_MAGIC = b"PASURF01"
@@ -142,8 +143,15 @@ def _input_features(config: ModelConfig, cloud: PointCloud, role_flag: float,
     n = cloud.n_points
     cols = [cloud.positions]
     if config.geom_width == 6:
-        normals = cloud.normals if cloud.normals is not None else np.zeros((n, 3))
-        cols.append(normals)
+        # volume points never carry normals and are fed zeros in their place
+        if cloud.normals is not None:
+            cols.append(cloud.normals)
+        elif cloud.role == "surface":
+            raise SampleFormatError(
+                "surface cloud has no normals, but the model was trained "
+                "with them (geom_width=6)")
+        else:
+            cols.append(np.zeros((n, 3)))
     if config.extra_width:
         if cloud.n_extra != config.extra_width:
             raise ValueError(

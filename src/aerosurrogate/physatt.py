@@ -149,7 +149,7 @@ def _layer_norm(x: np.ndarray, gain, bias, keep: bool):
     """(gain*normed + bias, normed, std) of the rows of x; unless keep,
     the output overwrites normed. The row sums are a matrix-vector product
     and an einsum: one pass each, with no temporary."""
-    avg = np.full(x.shape[-1], 1.0 / x.shape[-1])
+    avg = np.full(x.shape[-1], 1.0 / x.shape[-1], x.dtype)
     normed = x - (x @ avg)[:, None]
     std = np.sqrt(np.einsum("ij,ij->i", normed, normed)[:, None] * avg[0]
                   + LAYER_NORM_EPS)
@@ -161,7 +161,7 @@ def _layer_norm(x: np.ndarray, gain, bias, keep: bool):
 
 def _layer_norm_grad(d: np.ndarray, normed, std, gain):
     """(d input, d gain, d bias) of _layer_norm, given d at its output."""
-    avg = np.full(d.shape[-1], 1.0 / d.shape[-1])
+    avg = np.full(d.shape[-1], 1.0 / d.shape[-1], d.dtype)
     d_normed = d * gain
     d_x = normed * (np.einsum("ij,ij->i", d_normed, normed) * avg[0])[:, None]
     d_x += (d_normed @ avg)[:, None]
@@ -223,25 +223,25 @@ def attention_block_t(x: Tensor, p: LayerParams) -> Tensor:
     of p as its parents:
     x_hat = PhysicsAttn(LN(x)) + x; out = FFN(LN(x_hat)) + x_hat.
 
-    Computed in float64 on ndarrays. The activations the hand-derived
-    backward needs are kept only when x or a field of p requires a
-    gradient; otherwise the norms and the GELU work in place and each
-    activation is dropped once used."""
+    Computed on ndarrays in the dtype of x, to which the fields of p are
+    cast. The activations the hand-derived backward needs are kept only
+    when x or a field of p requires a gradient; otherwise the norms and
+    the GELU work in place and each activation is dropped once used."""
     parents = (ad.as_tensor(x),) + tuple(ad.as_tensor(v)
                                          for _, v in p.named_arrays())
     keep = any(t.requires_grad for t in parents)
+    x = parents[0].value
     h, p = p.heads, LayerParams(heads=p.heads, **{
-        name: np.asarray(t.value, dtype=np.float64)
+        name: np.asarray(t.value, dtype=x.dtype)
         for (name, _), t in zip(p.named_arrays(), parents[1:])})
-    a, normed1, std1 = _layer_norm(np.asarray(parents[0].value, np.float64),
-                                   p.ln1_gain, p.ln1_bias, keep)
+    a, normed1, std1 = _layer_norm(x, p.ln1_gain, p.ln1_bias, keep)
     tau = math.exp(p.log_tau)
     w = _slice_weights(a, p.slice_proj, p.slice_bias, tau, h)
     z, denom = _aggregate(a, w)
     z_prime, (q, k, v, attn, mixed) = _attend(
         z, h, p.w_q, p.b_q, p.w_k, p.b_k, p.w_v, p.b_v, p.w_o, p.b_o)
     x_hat = _deslice(w, z_prime)
-    x_hat += parents[0].value
+    x_hat += x
     if not keep:
         del a, normed1, w
     f, normed2, std2 = _layer_norm(x_hat, p.ln2_gain, p.ln2_bias, keep)

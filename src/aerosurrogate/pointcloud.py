@@ -325,13 +325,28 @@ def _load_cloud(path: Path, role: str) -> PointCloud:
         raise SampleFormatError(f"{path}: {e}") from None
 
 
+def _load_volume(path: Path) -> PointCloud:
+    volume = _load_cloud(path, "volume")
+    if volume.normals is not None:
+        raise SampleFormatError(f"{path}: volume points must not carry normals")
+    return volume
+
+
+def load_geometry(path) -> tuple[PointCloud, PointCloud | None]:
+    """The clouds of a sample directory without its targets: surface.txt,
+    and volume.txt when present (else None). This is all a prediction
+    needs."""
+    path = Path(path)
+    surface = _load_cloud(path / "surface.txt", "surface")
+    volume_path = path / "volume.txt"
+    return surface, _load_volume(volume_path) if volume_path.exists() else None
+
+
 def load_sample(path) -> SampleRecord:
     """Load one sample directory into a validated SampleRecord."""
     path = Path(path)
     surface = _load_cloud(path / "surface.txt", "surface")
-    volume = _load_cloud(path / "volume.txt", "volume")
-    if volume.normals is not None:
-        raise SampleFormatError(f"{path / 'volume.txt'}: volume points must not carry normals")
+    volume = _load_volume(path / "volume.txt")
     pressure = _read_rows(path / "pressure.txt", surface.n_points, 1)[:, 0]
     velocity = _read_rows(path / "velocity.txt", volume.n_points, 3)
     drag = _read_rows(path / "cd.txt", 1, 1)[0, 0]

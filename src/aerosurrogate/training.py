@@ -73,7 +73,8 @@ def _relative_l2_t(y_hat: Tensor, y: np.ndarray) -> Tensor:
     denom = float(np.linalg.norm(np.asarray(y, dtype=np.float64)))
     if denom < _NORM_FLOOR:
         raise DegenerateTargetError("target norm is zero; relative L2 undefined")
-    return ad.mul(ad.frobenius_norm(ad.sub(y_hat, Tensor(y))), 1.0 / denom)
+    y = Tensor(np.asarray(y, dtype=y_hat.value.dtype))
+    return ad.mul(ad.frobenius_norm(ad.sub(y_hat, y)), 1.0 / denom)
 
 
 def composite_loss_t(drag: Tensor, pressure: Tensor, velocity: Tensor,
@@ -125,13 +126,13 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             continue
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for tensor {name!r}")
-        g = g.astype(p.dtype)
+        g = g.astype(p.dtype, copy=False)
         m = moments.m[name] = b1 * moments.m[name] + (1 - b1) * g
         v = moments.v[name] = b2 * moments.v[name] + (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
         p -= (config.learning_rate * m_hat /
-              (np.sqrt(v_hat) + config.eps)).astype(p.dtype)
+              (np.sqrt(v_hat) + config.eps)).astype(p.dtype, copy=False)
 
 
 @dataclass

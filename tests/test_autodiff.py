@@ -79,6 +79,32 @@ class TestPrimitives:
         fd_check(lambda a: ad.sum_(ad.square(ad.getitem(a, slice(1, 3)))),
                  rand(5, 2))
 
+    @pytest.mark.parametrize("key", [
+        slice(1, 4), 2, (slice(None), 1), (slice(4, 0, -2), slice(1, 3))])
+    def test_getitem_basic_key_matches_scatter(self, key):
+        a = Tensor(rand(5, 3), requires_grad=True)
+        g = rand(*a.value[key].shape, seed=1)
+        ad.sum_(ad.mul(ad.getitem(a, key), g)).backward()
+        want = np.zeros((5, 3))
+        np.add.at(want, key, g)
+        np.testing.assert_array_equal(a.grad, want)
+
+    def test_getitem_repeated_index_sums_gradients(self):
+        a = Tensor(rand(4, 2), requires_grad=True)
+        ad.sum_(ad.getitem(a, np.array([3, 0, 3, 3]))).backward()
+        np.testing.assert_array_equal(a.grad, [[1, 1], [0, 0], [0, 0], [3, 3]])
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+    def test_scalar_constant_keeps_float32(self, op):
+        a = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        for out in (op(a, 0.5), op(0.5, a), op(Tensor(np.float32(2.0)), 0.5)):
+            assert out.value.dtype == np.float32
+        ad.sum_(op(a, Tensor(np.asarray(0.5)))).backward()
+        assert a.grad.dtype == np.float32
+
+    def test_scalar_constant_promotes_integers(self):
+        assert ad.mul(Tensor(np.arange(3)), 0.5).value.dtype == np.float64
+
     def test_concat(self):
         fd_check(lambda a, b: ad.sum_(ad.square(ad.concat([a, b], axis=1))),
                  rand(2, 3), rand(2, 2, seed=1))

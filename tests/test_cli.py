@@ -172,6 +172,54 @@ class TestTrainPredictEvaluate:
         assert velocity.shape == (12, 3)
         assert np.isfinite(float((out / "cd.txt").read_text()))
 
+    @staticmethod
+    def predict(pipeline, in_dir, out, capsys=None):
+        _, _, run_dir = pipeline
+        return run(["predict", "--checkpoint",
+                    str(run_dir / "checkpoint_final.bin"),
+                    "--in", str(in_dir), "--out", str(out)], capsys)
+
+    @staticmethod
+    def geometry_copy(sample_dir, dest, names=("surface.txt", "volume.txt")):
+        dest.mkdir()
+        for name in names:
+            (dest / name).write_bytes((sample_dir / name).read_bytes())
+        return dest
+
+    def test_predict_needs_no_targets(self, pipeline, tmp_path):
+        _, data, _ = pipeline
+        sample_dir = data / read_manifest(data)["samples"][0]
+        assert self.predict(pipeline, sample_dir, tmp_path / "full") == 0
+        geometry = self.geometry_copy(sample_dir, tmp_path / "geometry")
+        assert self.predict(pipeline, geometry, tmp_path / "bare") == 0
+        for name in ("pressure.txt", "velocity.txt", "cd.txt"):
+            assert (tmp_path / "bare" / name).read_bytes() == \
+                (tmp_path / "full" / name).read_bytes(), name
+
+    def test_predict_surface_only(self, pipeline, tmp_path):
+        _, data, _ = pipeline
+        sample_dir = data / read_manifest(data)["samples"][0]
+        surface_only = self.geometry_copy(sample_dir, tmp_path / "s",
+                                          names=("surface.txt",))
+        out = tmp_path / "pred"
+        assert self.predict(pipeline, surface_only, out) == 0
+        assert np.loadtxt(out / "pressure.txt").shape == (24,)
+        assert np.isfinite(float((out / "cd.txt").read_text()))
+
+    def test_surface_without_normals_is_runtime_error(self, pipeline, tmp_path,
+                                                      capsys):
+        _, data, _ = pipeline
+        sample_dir = data / read_manifest(data)["samples"][0]
+        bare = self.geometry_copy(sample_dir, tmp_path / "bare")
+        lines = (bare / "surface.txt").read_text().splitlines()
+        assert lines[0].split() == ["24", "0", "1"]
+        rows = [" ".join(ln.split()[:3]) for ln in lines[1:]]
+        (bare / "surface.txt").write_text("\n".join(["24 0 0"] + rows) + "\n")
+        code, _, err = self.predict(pipeline, bare, tmp_path / "pred", capsys)
+        assert code == 1
+        assert err.startswith("error: ") and "no normals" in err
+        assert not (tmp_path / "pred").exists()
+
     def test_evaluate_outputs(self, pipeline):
         tmp_path, data, run_dir = pipeline
         out = tmp_path / "eval"

@@ -453,6 +453,28 @@ class TestFusedBlock:
             scale = np.abs(want["w_k" if name == "b_k" else name]).max()
             assert np.abs(g - want[name]).max() <= 1e-10 * scale, name
 
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_float32_block_matches_float64_oracle_graph(self, heads):
+        # the block computes in its input's dtype; its inputs are the f64
+        # oracle's rounded to f32. Stated tolerances, from f32's epsilon:
+        # 16 eps of the largest output (measured 1 eps) and 256 eps of the
+        # largest gradient of each tensor (measured at most 37 eps)
+        eps = np.finfo(np.float32).eps
+        p = self.params(heads, seed=heads)
+        x0, r = rand(9, 8, seed=1), rand(9, 8, seed=2)
+        want_out, want = self.gradients(oracle_block_graph, x0, p, r)
+        p32 = LayerParams(heads=heads, **{name: a.astype(np.float32)
+                                          for name, a in p.named_arrays()})
+        out, grads = self.gradients(attention_block_t, x0.astype(np.float32),
+                                    p32, r.astype(np.float32))
+        assert out.dtype == np.float32
+        assert np.abs(out - want_out).max() <= 16 * eps * np.abs(want_out).max()
+        assert set(grads) == set(want)
+        for name, g in grads.items():
+            assert g.dtype == np.float32, name
+            scale = np.abs(want["w_k" if name == "b_k" else name]).max()
+            assert np.abs(g - want[name]).max() <= 256 * eps * scale, name
+
     def test_training_forward_equals_inference_forward(self):
         p = self.params(heads=2, seed=3)
         x0 = rand(11, 8, seed=4)
