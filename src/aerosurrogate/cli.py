@@ -1,12 +1,17 @@
 """Command-line entry point.
 
 Subcommands: gen-data, sample, train, predict, evaluate, grad-check.
-Settings resolve as defaults < config file (--config, flat JSON) < flags.
+Each command's settings are declared once, with their defaults, in
+DEFAULTS; a --seed or --precision flag exists only on the commands that
+have that setting. Settings resolve as defaults < config file (--config,
+flat JSON) < flags. A config file may hold any command's keys, so one
+file serves them all; each command reads its own, and a key no command
+declares is a configuration error.
 Exit codes: 0 success, 1 runtime error, 2 configuration/usage error.
 """
 
 import argparse
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 import json
 import sys
 from pathlib import Path
@@ -22,22 +27,23 @@ from .pointcloud import (SampleFormatError, load_dataset, load_geometry,
 from .sampling import SamplingConfig, sample_indices, write_index_file
 from .training import LossWeights, TrainConfig, grad_check, train
 
-# flat config schema: every key a subcommand may read
-_KNOWN_KEYS = {
-    # shared
-    "seed", "precision",
-    # gen-data
-    "n_samples", "n_surface", "n_volume", "a_min", "a_max", "b_min", "b_max",
-    "c_min", "c_max", "r_min", "r_max",
-    # sampling
-    "method", "n_points", "knn_k", "curvature_fraction", "grid_cells",
-    # model
-    "layers", "channels", "slices", "heads", "ffn_width", "geom_width",
-    "extra_width", "head_hidden",
-    # training
-    "epochs", "learning_rate", "beta1", "beta2", "eps",
-    "lambda_v", "lambda_p", "lambda_cd", "checkpoint_every", "max_steps",
+# every setting of every command, with its default
+DEFAULTS = {
+    "gen-data": {"n_samples": 32, "n_surface": 512, "n_volume": 256,
+                 "a_min": 1.0, "a_max": 3.0, "b_min": 0.8, "b_max": 1.2,
+                 "c_min": 0.5, "c_max": 1.0, "r_min": 1.1, "r_max": 3.0,
+                 "seed": 0},
+    "sample": asdict(SamplingConfig()),
+    "train": {"layers": 2, "channels": 64, "slices": 16, "heads": 4,
+              "geom_width": 6, "seed": 0, "precision": "f32",
+              "epochs": 200, "learning_rate": 1e-3, "beta1": 0.9,
+              "beta2": 0.999, "eps": 1e-8, "lambda_v": 1.0, "lambda_p": 1.0,
+              "lambda_cd": 0.1, "max_steps": 0},
+    "predict": {},
+    "evaluate": {},
+    "grad-check": {"seed": 1234},
 }
+_KNOWN_KEYS = set().union(*DEFAULTS.values())
 
 
 class ConfigError(ValueError):
@@ -62,29 +68,23 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    cfg = dict(defaults)
-    cfg.update(_load_config(args.config))
+def _resolve(args) -> dict:
+    """The command's settings: defaults < config file < explicit flags.
+    With --print-config, also prints them."""
+    defaults = DEFAULTS[args.command]
+    given = _load_config(args.config)
+    cfg = {key: given.get(key, value) for key, value in defaults.items()}
     for key in defaults:
-        flag = getattr(args, key.replace("-", "_"), None)
+        flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+    if args.print_config:
+        print(json.dumps(cfg, indent=2, sort_keys=True))
     return cfg
 
 
-def _print_config(args, cfg: dict) -> None:
-    if args.print_config:
-        print(json.dumps(cfg, indent=2, sort_keys=True))
-
-
 def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        layers=cfg["layers"], channels=cfg["channels"], slices=cfg["slices"],
-        heads=cfg["heads"], ffn_width=cfg["ffn_width"],
-        geom_width=cfg["geom_width"], extra_width=cfg["extra_width"],
-        head_hidden=cfg["head_hidden"], seed=cfg["seed"],
-        precision=cfg["precision"])
+    return ModelConfig(**{f.name: cfg[f.name] for f in fields(ModelConfig)})
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -93,8 +93,7 @@ def _train_config(cfg: dict) -> TrainConfig:
         beta1=cfg["beta1"], beta2=cfg["beta2"], eps=cfg["eps"],
         seed=cfg["seed"],
         weights=LossWeights(velocity=cfg["lambda_v"], pressure=cfg["lambda_p"],
-                            drag=cfg["lambda_cd"]),
-        checkpoint_every=cfg["checkpoint_every"])
+                            drag=cfg["lambda_cd"]))
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +101,7 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 
 def cmd_gen_data(args) -> int:
-    defaults = {"n_samples": 32, "n_surface": 512, "n_volume": 256,
-                "a_min": 1.0, "a_max": 3.0, "b_min": 0.8, "b_max": 1.2,
-                "c_min": 0.5, "c_max": 1.0, "r_min": 1.1, "r_max": 3.0,
-                "seed": 0}
-    cfg = _resolve(args, defaults)
-    _print_config(args, cfg)
+    cfg = _resolve(args)
     dspec = DatasetSpec(
         n_samples=cfg["n_samples"],
         a_range=(cfg["a_min"], cfg["a_max"]),
@@ -121,14 +115,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    defaults = {"method": "adaptive", "n_points": 1024, "seed": 0,
-                "knn_k": 16, "curvature_fraction": 0.5, "grid_cells": 16}
-    cfg = _resolve(args, defaults)
-    _print_config(args, cfg)
-    sconfig = SamplingConfig(method=cfg["method"], n_points=cfg["n_points"],
-                             seed=cfg["seed"], knn_k=cfg["knn_k"],
-                             curvature_fraction=cfg["curvature_fraction"],
-                             grid_cells=cfg["grid_cells"])
+    sconfig = SamplingConfig(**_resolve(args))
     record = load_sample(args.input)
     indices = sample_indices(record.surface, sconfig)
     out = Path(args.out)
@@ -143,14 +130,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train(args) -> int:
-    defaults = {"layers": 2, "channels": 64, "slices": 16, "heads": 4,
-                "ffn_width": 0, "geom_width": 6, "extra_width": 0,
-                "head_hidden": 0, "seed": 0, "precision": "f32",
-                "epochs": 200, "learning_rate": 1e-3, "beta1": 0.9,
-                "beta2": 0.999, "eps": 1e-8, "lambda_v": 1.0, "lambda_p": 1.0,
-                "lambda_cd": 0.1, "checkpoint_every": 0, "max_steps": 0}
-    cfg = _resolve(args, defaults)
-    _print_config(args, cfg)
+    cfg = _resolve(args)
     train_recs, val_recs = load_dataset(args.data)
     result = train(train_recs, _model_config(cfg), _train_config(cfg),
                    val_records=val_recs or None, out_dir=args.out,
@@ -166,8 +146,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _resolve(args, {})
-    _print_config(args, cfg)
+    _resolve(args)
     state = load_checkpoint(args.checkpoint)
     surface, volume = load_geometry(args.input)
     pred = predict_denormalized(state, surface, volume)
@@ -177,8 +156,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _resolve(args, {})
-    _print_config(args, cfg)
+    _resolve(args)
     state = load_checkpoint(args.checkpoint)
     train_recs, val_recs = load_dataset(args.data)
     records = {"train": train_recs, "val": val_recs,
@@ -196,9 +174,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    cfg = _resolve(args, {"seed": 1234})
-    _print_config(args, cfg)
-    report = grad_check(tolerance=args.tolerance, seed=cfg["seed"])
+    report = grad_check(tolerance=args.tolerance, seed=_resolve(args)["seed"])
     print(f"max relative gradient error: {report.max_rel_error:.3e} "
           f"(tolerance {report.tolerance:g})")
     if not report.passed:
@@ -212,12 +188,19 @@ def cmd_grad_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """A subcommand with --config, --print-config and, where the command
+    has that setting, --seed and --precision."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
     p.add_argument("--config", help="flat JSON config file")
-    p.add_argument("--seed", type=int, default=None, help="seed override")
-    p.add_argument("--precision", choices=["f32", "f64"], default=None)
+    if "seed" in DEFAULTS[name]:
+        p.add_argument("--seed", type=int, default=None, help="seed override")
+    if "precision" in DEFAULTS[name]:
+        p.add_argument("--precision", choices=["f32", "f64"], default=None)
     p.add_argument("--print-config", action="store_true",
                    help="print the fully resolved configuration")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,16 +210,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "Precedence: defaults < --config file < flags.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    _add_common(p)
+    p = _add_command(sub, "gen-data", cmd_gen_data,
+                     "generate a synthetic dataset")
     p.add_argument("--n", dest="n_samples", type=int, default=None)
     p.add_argument("--n-surface", dest="n_surface", type=int, default=None)
     p.add_argument("--n-volume", dest="n_volume", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("sample", help="downsample a sample's surface cloud")
-    _add_common(p)
+    p = _add_command(sub, "sample", cmd_sample,
+                     "downsample a sample's surface cloud")
     p.add_argument("--method", choices=["random", "curvature", "adaptive"],
                    default=None)
     p.add_argument("--n", dest="n_points", type=int, default=None)
@@ -248,10 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--write-sample", action="store_true",
                    help="also write the reduced sample directory")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("train", help="train the surrogate on a dataset")
-    _add_common(p)
+    p = _add_command(sub, "train", cmd_train,
+                     "train the surrogate on a dataset")
     p.add_argument("--data", required=True, help="dataset root with manifest.json")
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=None)
@@ -262,28 +243,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", dest="learning_rate", type=float,
                    default=None)
     p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="predict one geometry from a checkpoint")
-    _add_common(p)
+    p = _add_command(sub, "predict", cmd_predict,
+                     "predict one geometry from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--in", dest="input", required=True,
                    help="directory with surface.txt and, optionally, volume.txt")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="metric report over a dataset split")
-    _add_common(p)
+    p = _add_command(sub, "evaluate", cmd_evaluate,
+                     "metric report over a dataset split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=["train", "val", "all"], default="val")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("grad-check", help="finite-difference gradient check")
-    _add_common(p)
+    p = _add_command(sub, "grad-check", cmd_grad_check,
+                     "finite-difference gradient check")
     p.add_argument("--tolerance", type=float, default=1e-5)
-    p.set_defaults(func=cmd_grad_check)
 
     return parser
 

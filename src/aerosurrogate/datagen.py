@@ -17,14 +17,15 @@ Physical fidelity is not the goal; the task is learnable and every target
 has an independent analytic oracle.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 import math
 
 import numpy as np
 
-from .pointcloud import SampleRecord, PointCloud, save_sample, write_manifest
-from .rng import SplitMix64, derive_seed, fnv1a64
+from .pointcloud import (SampleRecord, PointCloud, save_sample, split_of,
+                         write_manifest)
+from .rng import SplitMix64, derive_seed
 
 GENERATOR_VERSION = {
     "name": "ellipsoid-potential-flow",
@@ -203,10 +204,7 @@ def generate_records(dspec: DatasetSpec) -> list[SampleRecord]:
         spec = ShapeSpec(a=a, b=b, c=c, n_surface=dspec.n_surface,
                          n_volume=dspec.n_volume, r_min=dspec.r_min,
                          r_max=dspec.r_max, seed=derive_seed(dspec.seed, i))
-        rec = generate_sample(spec)
-        records.append(SampleRecord(surface=rec.surface, volume=rec.volume,
-                                    pressure=rec.pressure, velocity=rec.velocity,
-                                    drag=rec.drag, id=f"sample_{i:04d}"))
+        records.append(replace(generate_sample(spec), id=f"sample_{i:04d}"))
     return records
 
 
@@ -220,6 +218,6 @@ def generate_dataset(dspec: DatasetSpec, out_dir) -> Path:
     for rec in records:
         save_sample(rec, out_dir / rec.id)
         dirs.append(rec.id)
-        splits[rec.id] = "val" if fnv1a64(rec.id) % 100 < 20 else "train"
+        splits[rec.id] = split_of(rec.id, {})
     return write_manifest(out_dir, dirs, splits,
                           extra={"generator_version": GENERATOR_VERSION})

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .physatt import (LayerParams, init_layer_params, attention_block_t,
-                      uniform_init)
+from .physatt import LayerParams, Slot, attention_block_t, layer_layout
 from .pointcloud import (NormalizationStats, PointCloud, SampleFormatError,
                          normalize_cloud)
 from .rng import SplitMix64
@@ -36,10 +35,7 @@ class ModelConfig:
     channels: int = 256
     slices: int = 64
     heads: int = 8
-    ffn_width: int = 0          # 0 means 2*channels
     geom_width: int = 6         # 3 coordinates, optionally +3 normals
-    extra_width: int = 0        # observed-quantity channels
-    head_hidden: int = 0        # 0 means channels
     seed: int = 0
     precision: str = "f32"      # f32 | f64
 
@@ -51,23 +47,8 @@ class ModelConfig:
                 f"channels {self.channels} must be divisible by heads {self.heads}")
         if self.geom_width not in (3, 6):
             raise ValueError("geom_width must be 3 (coords) or 6 (coords+normals)")
-        if self.extra_width < 0:
-            raise ValueError("extra_width must be >= 0")
         if self.precision not in ("f32", "f64"):
             raise ValueError("precision must be f32 or f64")
-
-    @property
-    def ffn(self) -> int:
-        return self.ffn_width or 2 * self.channels
-
-    @property
-    def hidden(self) -> int:
-        return self.head_hidden or self.channels
-
-    @property
-    def input_width(self) -> int:
-        # +1 is the surface/volume role flag
-        return self.geom_width + self.extra_width + 1
 
     @property
     def dtype(self):
@@ -104,35 +85,30 @@ class Prediction:
     velocity: np.ndarray     # (N_v, 3)
 
 
-def _mlp_names(prefix: str) -> list[str]:
-    return [f"{prefix}.w1", f"{prefix}.b1", f"{prefix}.w2", f"{prefix}.b2"]
+def _layout(config: ModelConfig) -> dict[str, Slot]:
+    """The Slot of every parameter, in checkpoint order, which is also the
+    order init_model draws them in. Each layer's FFN is 2C wide and each
+    head's hidden layer C wide."""
+    c = config.channels
+    w = config.geom_width + 1           # +1 is the surface/volume role flag
+    slots = {"embedding.w": Slot((w, c), w), "embedding.b": Slot((c,))}
+    layer = layer_layout(c, config.slices, config.heads, 2 * c)
+    for li in range(config.layers):
+        slots.update({f"layers.{li}.{name}": s for name, s in layer.items()})
+    for prefix, out_w in (("head.drag", 1), ("head.pressure", 1), ("head.velocity", 3)):
+        slots[f"{prefix}.w1"] = Slot((c, c), c)
+        slots[f"{prefix}.b1"] = Slot((c,))
+        slots[f"{prefix}.w2"] = Slot((c, out_w), c)
+        slots[f"{prefix}.b2"] = Slot((out_w,))
+    return slots
 
 
 def init_model(config: ModelConfig,
                stats: NormalizationStats | None = None) -> ModelState:
     """Deterministic seeded initialization of every parameter tensor."""
     rng = SplitMix64(config.seed)
-    dtype = config.dtype
-    params: dict[str, np.ndarray] = {}
-
-    c = config.channels
-    params["embedding.w"] = uniform_init(rng, (config.input_width, c),
-                                         config.input_width, dtype)
-    params["embedding.b"] = np.zeros(c, dtype=dtype)
-
-    for li in range(config.layers):
-        lp = init_layer_params(c, config.slices, config.heads, config.ffn,
-                               rng, dtype=dtype)
-        for name, arr in lp.named_arrays():
-            params[f"layers.{li}.{name}"] = arr
-
-    h = config.hidden
-    for prefix, out_w in (("head.drag", 1), ("head.pressure", 1), ("head.velocity", 3)):
-        params[f"{prefix}.w1"] = uniform_init(rng, (c, h), c, dtype)
-        params[f"{prefix}.b1"] = np.zeros(h, dtype=dtype)
-        params[f"{prefix}.w2"] = uniform_init(rng, (h, out_w), h, dtype)
-        params[f"{prefix}.b2"] = np.zeros(out_w, dtype=dtype)
-
+    params = {name: slot.draw(rng, config.dtype)
+              for name, slot in _layout(config).items()}
     return ModelState(config=config,
                       stats=stats or NormalizationStats.identity(),
                       params=params)
@@ -152,12 +128,6 @@ def _input_features(config: ModelConfig, cloud: PointCloud, role_flag: float,
                 "with them (geom_width=6)")
         else:
             cols.append(np.zeros((n, 3)))
-    if config.extra_width:
-        if cloud.n_extra != config.extra_width:
-            raise ValueError(
-                f"cloud has {cloud.n_extra} extra features, model expects "
-                f"{config.extra_width}")
-        cols.append(cloud.extra_features)
     cols.append(np.full((n, 1), role_flag))
     return np.concatenate(cols, axis=1).astype(dtype)
 
@@ -300,8 +270,7 @@ def load_checkpoint(path) -> ModelState:
         raise CheckpointError(f"{path}: bad magic {data[:8]!r}")
     config, stats, table, blob_start = _read_header(data, path)
 
-    state = init_model(config, stats)
-    expected = {name: arr.shape for name, arr in state.params.items()}
+    expected = {name: slot.shape for name, slot in _layout(config).items()}
     loaded: dict[str, np.ndarray] = {}
     for name, shape, dt, offset in table:
         count = int(np.prod(shape)) if shape else 1
@@ -322,5 +291,4 @@ def load_checkpoint(path) -> ModelState:
     missing = set(expected) - set(loaded)
     if missing:
         raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
-    state.params = loaded
-    return state
+    return ModelState(config=config, stats=stats, params=loaded)

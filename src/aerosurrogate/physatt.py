@@ -15,6 +15,7 @@ ndarray wrappers at the end call the same stages with one head.
 
 from dataclasses import dataclass, fields
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,12 +75,40 @@ class LayerParams:
                                    for f in fields(cls) if f.name != "heads"})
 
 
-def uniform_init(rng: SplitMix64, shape: tuple, fan_in: int, dtype) -> np.ndarray:
-    """Draws from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), cast to dtype."""
-    bound = 1.0 / math.sqrt(fan_in)
-    n = int(np.prod(shape)) if shape else 1
-    vals = (rng.uniform_array(n) * 2.0 - 1.0) * bound
-    return vals.reshape(shape).astype(dtype)
+class Slot(NamedTuple):
+    """A parameter's shape and initial value: a draw from
+    uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), or, when fan_in is 0, the
+    constant fill."""
+
+    shape: tuple
+    fan_in: int = 0
+    fill: float = 0.0
+
+    def draw(self, rng: SplitMix64, dtype) -> np.ndarray:
+        if not self.fan_in:
+            return np.full(self.shape, self.fill, dtype=dtype)
+        vals = rng.uniform_array(math.prod(self.shape)) * 2.0 - 1.0
+        vals *= 1.0 / math.sqrt(self.fan_in)
+        return vals.reshape(self.shape).astype(dtype)
+
+
+def layer_layout(channels: int, slices: int, heads: int,
+                 ffn_width: int) -> dict[str, Slot]:
+    """The Slot of every LayerParams field, in field order, which is also
+    the order init_layer_params draws them in."""
+    c, hm = channels, heads * slices
+    return {
+        "slice_proj": Slot((c, hm), c), "slice_bias": Slot((hm,)),
+        "log_tau": Slot((), fill=math.log(0.5)),
+        "w_q": Slot((c, c), c), "b_q": Slot((c,)),
+        "w_k": Slot((c, c), c), "b_k": Slot((c,)),
+        "w_v": Slot((c, c), c), "b_v": Slot((c,)),
+        "w_o": Slot((c, c), c), "b_o": Slot((c,)),
+        "ffn_w1": Slot((c, ffn_width), c), "ffn_b1": Slot((ffn_width,)),
+        "ffn_w2": Slot((ffn_width, c), ffn_width), "ffn_b2": Slot((c,)),
+        "ln1_gain": Slot((c,), fill=1.0), "ln1_bias": Slot((c,)),
+        "ln2_gain": Slot((c,), fill=1.0), "ln2_bias": Slot((c,)),
+    }
 
 
 def init_layer_params(channels: int, slices: int, heads: int, ffn_width: int,
@@ -88,29 +117,9 @@ def init_layer_params(channels: int, slices: int, heads: int, ffn_width: int,
     biases zero, layer-norm gain 1 / bias 0, tau = 0.5."""
     if channels % heads != 0:
         raise ValueError(f"channels {channels} not divisible by heads {heads}")
-    c = channels
-    return LayerParams(
-        slice_proj=uniform_init(rng, (c, heads * slices), c, dtype),
-        slice_bias=np.zeros(heads * slices, dtype=dtype),
-        log_tau=np.asarray(math.log(0.5), dtype=dtype),
-        w_q=uniform_init(rng, (c, c), c, dtype),
-        b_q=np.zeros(c, dtype=dtype),
-        w_k=uniform_init(rng, (c, c), c, dtype),
-        b_k=np.zeros(c, dtype=dtype),
-        w_v=uniform_init(rng, (c, c), c, dtype),
-        b_v=np.zeros(c, dtype=dtype),
-        w_o=uniform_init(rng, (c, c), c, dtype),
-        b_o=np.zeros(c, dtype=dtype),
-        ffn_w1=uniform_init(rng, (c, ffn_width), c, dtype),
-        ffn_b1=np.zeros(ffn_width, dtype=dtype),
-        ffn_w2=uniform_init(rng, (ffn_width, c), ffn_width, dtype),
-        ffn_b2=np.zeros(c, dtype=dtype),
-        ln1_gain=np.ones(c, dtype=dtype),
-        ln1_bias=np.zeros(c, dtype=dtype),
-        ln2_gain=np.ones(c, dtype=dtype),
-        ln2_bias=np.zeros(c, dtype=dtype),
-        heads=heads,
-    )
+    layout = layer_layout(channels, slices, heads, ffn_width)
+    return LayerParams(heads=heads, **{name: slot.draw(rng, dtype)
+                                       for name, slot in layout.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
-    checkpoint_every: int = 0      # epochs between periodic checkpoints; 0 = off
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -208,9 +207,6 @@ def train(records: list[SampleRecord], model_config: ModelConfig,
                 stop = True
                 break
         epoch_losses.append(epoch_total / max(1, len(order)))
-        if out_dir is not None and train_config.checkpoint_every and \
-                (epoch + 1) % train_config.checkpoint_every == 0:
-            save_checkpoint(state, out_dir / f"checkpoint_epoch{epoch + 1}.bin")
         score = epoch_losses[-1]
         if val_normed:
             val_losses.append(float(np.mean(

@@ -330,6 +330,14 @@ class TestMalformedCheckpoint:
         self.check(pipeline, tmp_path, capsys, path,
                    "embedding.b dtype float64 != precision f32")
 
+    @pytest.mark.parametrize("key", ["extra_width", "ffn_width", "head_hidden"])
+    def test_removed_config_key_is_named(self, pipeline, tmp_path, capsys,
+                                         key):
+        # the header of a checkpoint written before these keys were dropped
+        path = tiny_checkpoint(tmp_path / "c.bin", edit=lambda h: {
+            **h, "config": {**h["config"], key: 0}})
+        self.check(pipeline, tmp_path, capsys, path, key)
+
 
 class TestGradCheck:
     def test_default_passes(self, capsys):
@@ -383,3 +391,87 @@ class TestConfigHandling:
         code = run(["gen-data", "--config", str(tmp_path / "absent.json"),
                     "--out", str(tmp_path / "d")])
         assert code == 2
+
+
+class TestSettingsDeclaredOnce:
+    """A flag or config key exists only where a command reads it."""
+
+    @staticmethod
+    def argv(command, pipeline, tmp_path):
+        _, data, run_dir = pipeline
+        sample_dir = data / read_manifest(data)["samples"][0]
+        checkpoint = str(run_dir / "checkpoint_final.bin")
+        out = str(tmp_path / "out")
+        return {
+            "gen-data": ["gen-data", "--n", "1", "--n-surface", "8",
+                         "--n-volume", "4", "--out", out],
+            "sample": ["sample", "--n", "8", "--in", str(sample_dir),
+                       "--out", out],
+            "predict": ["predict", "--checkpoint", checkpoint,
+                        "--in", str(sample_dir), "--out", out],
+            "evaluate": ["evaluate", "--checkpoint", checkpoint,
+                         "--data", str(data), "--split", "all", "--out", out],
+            "grad-check": ["grad-check"],
+        }[command]
+
+    @pytest.mark.parametrize("command,flag", [
+        ("predict", "--seed"), ("predict", "--precision"),
+        ("evaluate", "--seed"), ("gen-data", "--precision"),
+        ("sample", "--precision"), ("grad-check", "--precision")])
+    def test_flag_the_command_ignores_is_usage_error(
+            self, pipeline, tmp_path, capsys, command, flag):
+        argv = self.argv(command, pipeline, tmp_path)
+        value = "f64" if flag == "--precision" else "3"
+        code, _, err = run(argv + [flag, value], capsys)
+        assert code == 2
+        assert f"unrecognized arguments: {flag}" in err
+        assert not (tmp_path / "out").exists()
+        assert run(argv, capsys)[0] == 0
+
+    @pytest.mark.parametrize("key", ["checkpoint_every", "extra_width",
+                                     "head_hidden", "ffn_width"])
+    def test_removed_config_key_rejected(self, pipeline, tmp_path, capsys,
+                                         key):
+        _, data, _ = pipeline
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, key: 0}))
+        code, _, err = run(["train", "--data", str(data), "--out",
+                            str(tmp_path / "run"), "--config", str(cfg_path)],
+                           capsys)
+        assert code == 2
+        assert key in err
+        assert not (tmp_path / "run").exists()
+
+    def test_train_config_file_sets_every_model_key(self, tmp_path):
+        data = gen(tmp_path, n=2)
+        model_keys = {"layers": 1, "channels": 6, "slices": 3, "heads": 3,
+                      "geom_width": 3, "seed": 11, "precision": "f64"}
+        assert set(model_keys) == set(ModelConfig.__dataclass_fields__)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**model_keys, "epochs": 1}))
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", str(data), "--out", str(run_dir),
+                    "--config", str(cfg_path)]) == 0
+        config = load_checkpoint(run_dir / "checkpoint_final.bin").config
+        assert config.to_dict() == model_keys
+
+    def test_shared_config_file_serves_every_command(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "n_samples": 1, "n_surface": 8, "n_volume": 4, "seed": 4,
+            "method": "random", "n_points": 4, "layers": 1, "lambda_cd": 0.5}))
+        out = tmp_path / "d"
+        code, stdout, _ = run(["gen-data", "--config", str(cfg_path),
+                               "--out", str(out), "--print-config"], capsys)
+        assert code == 0
+        cfg = json.loads(stdout[:stdout.rindex("}") + 1])
+        assert cfg["seed"] == 4 and cfg["n_samples"] == 1
+        assert not {"method", "n_points", "layers", "lambda_cd"} & set(cfg)
+        sample_dir = out / read_manifest(out)["samples"][0]
+        code, stdout, _ = run(["sample", "--config", str(cfg_path), "--in",
+                               str(sample_dir), "--out", str(tmp_path / "s"),
+                               "--print-config"], capsys)
+        assert code == 0
+        cfg = json.loads(stdout[:stdout.rindex("}") + 1])
+        assert cfg["method"] == "random" and cfg["n_points"] == 4
+        assert len(read_index_file(tmp_path / "s" / "indices.txt")) == 4

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from aerosurrogate.model import (ModelConfig, init_model, forward,
                                  CheckpointError)
 from aerosurrogate.pointcloud import PointCloud, compute_stats, normalize
 from aerosurrogate.datagen import ShapeSpec, generate_sample
+from aerosurrogate.rng import SplitMix64
 from tests.test_physatt import oracle_layer, oracle_layer_norm, oracle_gelu
 
 
@@ -217,3 +219,49 @@ class TestCheckpoint:
         assert loaded.stats.drag_mean == stats.drag_mean
         np.testing.assert_array_equal(loaded.stats.position_center,
                                       stats.position_center)
+
+
+class TestParameterLayout:
+    """init_model and load_checkpoint share one layout of names and shapes;
+    only init_model draws values."""
+
+    @staticmethod
+    def digest(state):
+        h = hashlib.sha256()
+        for name, a in state.params.items():
+            h.update(name.encode())
+            h.update(str(a.shape).encode())
+            h.update(a.tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("config,expected", [
+        (dict(layers=2, channels=8, slices=2, heads=2, seed=3),
+         "88050d66c1959a4e3bad5ee8afb8a6f2568056cadb3b757cf30983aa632962de"),
+        (dict(layers=1, channels=4, slices=2, heads=1, seed=3,
+              precision="f64", geom_width=3),
+         "f9a3694848ee28812b69fd63adcb7271e495f0f5bcd07283922ad9fd11edc3d4"),
+    ])
+    def test_init_values_and_order_pinned(self, config, expected):
+        assert self.digest(init_model(ModelConfig(**config))) == expected
+
+    def test_load_draws_no_values(self, tmp_path, monkeypatch):
+        state = init_model(tiny_config(layers=2, heads=2))
+        save_checkpoint(state, tmp_path / "c.bin")
+
+        def no_draws(self, n):
+            raise AssertionError("load_checkpoint drew parameter values")
+        monkeypatch.setattr(SplitMix64, "uniform_array", no_draws)
+        loaded = load_checkpoint(tmp_path / "c.bin")
+        assert list(loaded.params) == list(state.params)
+        for name, arr in state.params.items():
+            np.testing.assert_array_equal(loaded.params[name], arr)
+
+    def test_shape_differing_from_layout_rejected(self, tmp_path):
+        state = init_model(tiny_config())
+        assert state.params["embedding.w"].shape == (7, 4)
+        state.params["embedding.w"] = state.params["embedding.w"].reshape(4, 7)
+        save_checkpoint(state, tmp_path / "c.bin")
+        with pytest.raises(CheckpointError,
+                           match=r"embedding.w shape \(4, 7\) != config shape "
+                                 r"\(7, 4\)"):
+            load_checkpoint(tmp_path / "c.bin")
