@@ -20,10 +20,9 @@ import numpy as np
 
 from .datagen import DatasetSpec, generate_dataset
 from .metrics import evaluate
-from .model import (CheckpointError, ModelConfig, load_checkpoint,
-                    predict_denormalized)
-from .pointcloud import (SampleFormatError, load_dataset, load_geometry,
-                         load_sample, save_sample, save_targets)
+from .model import ModelConfig, load_checkpoint, predict_denormalized
+from .pointcloud import (load_dataset, load_geometry, load_sample,
+                         save_sample, save_targets)
 from .sampling import SamplingConfig, sample_indices, write_index_file
 from .training import LossWeights, TrainConfig, grad_check, train
 
@@ -83,17 +82,26 @@ def _resolve(args) -> dict:
     return cfg
 
 
+def _build(cls, **settings):
+    """cls(**settings); a setting the class rejects is a ConfigError."""
+    try:
+        return cls(**settings)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(**{f.name: cfg[f.name] for f in fields(ModelConfig)})
+    return _build(ModelConfig, **{f.name: cfg[f.name]
+                                  for f in fields(ModelConfig)})
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg["epochs"], learning_rate=cfg["learning_rate"],
-        beta1=cfg["beta1"], beta2=cfg["beta2"], eps=cfg["eps"],
-        seed=cfg["seed"],
-        weights=LossWeights(velocity=cfg["lambda_v"], pressure=cfg["lambda_p"],
-                            drag=cfg["lambda_cd"]))
+    weights = _build(LossWeights, velocity=cfg["lambda_v"],
+                     pressure=cfg["lambda_p"], drag=cfg["lambda_cd"])
+    return _build(TrainConfig, epochs=cfg["epochs"],
+                  learning_rate=cfg["learning_rate"], beta1=cfg["beta1"],
+                  beta2=cfg["beta2"], eps=cfg["eps"], seed=cfg["seed"],
+                  weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +110,8 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve(args)
-    dspec = DatasetSpec(
-        n_samples=cfg["n_samples"],
+    dspec = _build(
+        DatasetSpec, n_samples=cfg["n_samples"],
         a_range=(cfg["a_min"], cfg["a_max"]),
         b_range=(cfg["b_min"], cfg["b_max"]),
         c_range=(cfg["c_min"], cfg["c_max"]),
@@ -115,7 +123,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    sconfig = SamplingConfig(**_resolve(args))
+    sconfig = _build(SamplingConfig, **_resolve(args))
     record = load_sample(args.input)
     indices = sample_indices(record.surface, sconfig)
     out = Path(args.out)
@@ -273,15 +281,9 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SampleFormatError, CheckpointError) as e:
+    except (ValueError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, FloatingPointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, ConfigError) else 1
 
 
 if __name__ == "__main__":

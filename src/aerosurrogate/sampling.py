@@ -39,26 +39,44 @@ class SamplingConfig:
             raise ValueError("grid_cells must be >= 1")
 
 
+def _knn_chunks(pos: np.ndarray, k: int):
+    """Per chunk of rows, yield (start, stop, the rows' k-NN indices)."""
+    n = pos.shape[0]
+    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
+    sq = np.einsum("ij,ij->i", pos, pos)
+    kth = min(k + 1, n - 1)
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * pos[start:stop] @ pos.T
+        cand = np.argpartition(d2, kth, axis=1)[:, :k + 2]
+        dist = np.take_along_axis(d2, cand, axis=1)
+        by = np.lexsort((cand, dist), axis=1)
+        order = np.take_along_axis(cand, by, axis=1)[:, :k + 1]
+        dist = np.take_along_axis(dist, by, axis=1)
+        tie = ~(dist[:, k] < dist[:, kth])      # or NaN, or n == k+1
+        if tie.any():
+            order[tie] = np.argsort(d2[tie], axis=1, kind="stable")[:, :k + 1]
+        del d2, cand                            # free before the caller runs
+        yield start, stop, order[:, 1:]         # skip the point itself
+
+
 def estimate_curvature(cloud: PointCloud, k: int = 16) -> np.ndarray:
     """Surface-variation score per point: kappa = lambda3 / sum(lambda)
     over the covariance eigenvalues of the k-NN neighborhood.
 
     kappa is 0 on planes, bounded above by 1/3, and rotation-invariant.
-    k-NN is exact brute force, chunked to bound memory.
+    The k-NN is exact, chunked to bound memory. Per distance row,
+    argpartition finds the k+2 nearest, ordered by (distance, index) as
+    by a stable sort of the row. A row whose k-th and (k+1)-th distances
+    tie is sorted in full, so tied neighbours still go by lower index and
+    each covariance is summed in the same order.
     """
     pos = cloud.positions
     n = pos.shape[0]
     if n < k + 1:
         raise ValueError(f"need at least k+1={k + 1} points, have {n}")
     kappa = np.empty(n, dtype=np.float64)
-    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
-    sq = np.einsum("ij,ij->i", pos, pos)
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        block = pos[start:stop]
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * block @ pos.T
-        # k nearest excluding the point itself
-        order = np.argsort(d2, axis=1, kind="stable")[:, 1:k + 1]
+    for start, stop, order in _knn_chunks(pos, k):
         pts = pos[order]                                    # (rows, k, 3)
         centered = pts - pts.mean(axis=1, keepdims=True)
         cov = np.swapaxes(centered, 1, 2) @ centered / k

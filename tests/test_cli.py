@@ -392,6 +392,51 @@ class TestConfigHandling:
                     "--out", str(tmp_path / "d")])
         assert code == 2
 
+    @pytest.mark.parametrize("command,settings", [
+        ("sample", {"curvature_fraction": 1.5}),
+        ("train", {"learning_rate": -1.0}),
+        ("train", {"lambda_v": -1.0}),
+        ("train", {"heads": 3}),
+        ("gen-data", {"n_samples": 0}),
+    ])
+    def test_rejected_setting_is_config_error(self, tmp_path, capsys,
+                                              command, settings):
+        data = gen(tmp_path, n=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(settings))
+        sample_dir = data / read_manifest(data)["samples"][0]
+        argv = {"sample": ["--in", str(sample_dir)],
+                "train": ["--data", str(data)], "gen-data": []}[command]
+        code, _, err = run([command, "--config", str(cfg_path), *argv,
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+
+class TestRuntimeValueError:
+    """A ValueError found in the data, not in the settings, exits 1."""
+
+    def test_constant_pressure_train_exits_1(self, tmp_path, capsys):
+        data = gen(tmp_path, n=3)
+        for name in read_manifest(data)["samples"]:
+            pressure = data / name / "pressure.txt"
+            rows = len(pressure.read_text().split())
+            pressure.write_text("0.5\n" * rows)
+        code, _, err = run(["train", "--data", str(data), "--out",
+                            str(tmp_path / "run"), "--epochs", "1"], capsys)
+        assert code == 1
+        assert err == "error: target norm is zero; relative L2 undefined\n"
+
+    def test_cloud_smaller_than_neighbourhood_exits_1(self, tmp_path, capsys):
+        data = gen(tmp_path, n=1, n_surface=12)
+        sample_dir = data / read_manifest(data)["samples"][0]
+        code, _, err = run(["sample", "--method", "curvature", "--n", "4",
+                            "--knn-k", "16", "--in", str(sample_dir),
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert "need at least k+1=17 points, have 12" in err
+
 
 class TestSettingsDeclaredOnce:
     """A flag or config key exists only where a command reads it."""

@@ -5,7 +5,7 @@ import pytest
 
 from aerosurrogate.pointcloud import PointCloud
 from aerosurrogate.datagen import DatasetSpec, fibonacci_sphere, generate_records
-from aerosurrogate.rng import SplitMix64
+from aerosurrogate.rng import SplitMix64, derive_seed
 from aerosurrogate.sampling import (
     SamplingConfig, estimate_curvature, sample_random, sample_curvature,
     sample_adaptive, sample_indices, write_index_file, read_index_file,
@@ -167,6 +167,71 @@ class TestMatchesOracles:
         kappa = oracle_curvature(c, 8)
         top = np.lexsort((np.arange(len(kappa)), -kappa))[:25]
         assert sample_curvature(c, 25, k=8) == sorted(int(i) for i in top)
+
+
+def ingest_surface(seed):
+    """The surface of the benchmark's `ingest` sample for `seed`."""
+    return generate_records(DatasetSpec(n_samples=1, n_surface=2048,
+                                        n_volume=8192, seed=seed))[0].surface
+
+
+def assert_curvature_matches_oracle(points, k):
+    c = cloud_from(points)
+    assert estimate_curvature(c, k).tobytes() == \
+        oracle_curvature(c, k).tobytes()
+
+
+def sorted_sq_distances(points):
+    sq = np.einsum("ij,ij->i", points, points)
+    return np.sort(sq[:, None] + sq[None, :] - 2.0 * points @ points.T, axis=1)
+
+
+class TestPartialSelection:
+    """The partial k-NN selection keeps the stable sort's neighbours and
+    their order on the edge cases of the selection itself."""
+
+    @pytest.mark.parametrize("k", [3, 8, 16])
+    @pytest.mark.parametrize("extra", [1, 2])
+    @pytest.mark.parametrize("kind", ["rounded", "lattice"])
+    def test_smallest_clouds(self, k, extra, kind):
+        rng = np.random.default_rng(k * 10 + extra)
+        n = k + extra
+        points = np.round(rng.normal(size=(n, 3)), 1) if kind == "rounded" \
+            else rng.integers(0, 2, size=(n, 3)).astype(float)
+        assert_curvature_matches_oracle(points, k)
+
+    def test_tie_straddles_kth_neighbour(self):
+        # integer lattice in shuffled order: an interior point has 6
+        # neighbours at distance 1 and 12 at sqrt(2), so ranks 8 and 9 tie
+        axis = np.arange(5.0)
+        lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                           -1).reshape(-1, 3)
+        points = lattice[np.random.default_rng(3).permutation(len(lattice))]
+        k = 8
+        d2 = sorted_sq_distances(points)
+        assert (d2[:, k] == d2[:, k + 1]).sum() >= 27
+        assert_curvature_matches_oracle(points, k)
+
+    @pytest.mark.parametrize("n_near", [0, 50])
+    def test_overflowing_distances(self, n_near):
+        # |p|^2 overflows near 1e155: a far-far distance is inf - inf = NaN,
+        # a far-near one is inf
+        rng = np.random.default_rng(11)
+        far = 1e155 + 1e151 * rng.normal(size=(30, 3))
+        points = np.vstack([far, rng.normal(size=(n_near, 3))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(sorted_sq_distances(points)).any()
+            assert_curvature_matches_oracle(points, 8)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ingest_surfaces(self, seed):
+        assert_curvature_matches_oracle(ingest_surface(seed).positions, 16)
+
+    def test_adaptive_on_ingest_surface(self):
+        cloud = ingest_surface(1)
+        cfg = SamplingConfig(method="adaptive", n_points=512,
+                             seed=derive_seed(1, 1))
+        assert sample_adaptive(cloud, cfg) == oracle_adaptive(cloud, cfg)
 
 
 class TestRandomSampler:
