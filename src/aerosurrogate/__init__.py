@@ -1,8 +1,8 @@
 """Physics-attention point-cloud surrogate for aerodynamic prediction."""
 
 from .pointcloud import (PointCloud, SampleRecord, NormalizationStats,
-                         load_sample, save_sample, normalize, denormalize,
-                         compute_stats, load_dataset)
+                         load_sample, save_sample, normalize, compute_stats,
+                         load_dataset)
 from .sampling import (SamplingConfig, estimate_curvature, sample_random,
                        sample_curvature, sample_adaptive, sample_indices)
 from .model import (ModelConfig, ModelState, Prediction, init_model, forward,

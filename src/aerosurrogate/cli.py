@@ -67,13 +67,24 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _check_type(key: str, value, default) -> None:
+    """A setting must have its default's JSON type; an int may stand for a
+    float, a bool never for a number."""
+    expected = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) != isinstance(default, bool) or \
+            not isinstance(value, expected):
+        raise ConfigError(f"{key} must be {type(default).__name__}, "
+                          f"got {json.dumps(value)}")
+
+
 def _resolve(args) -> dict:
     """The command's settings: defaults < config file < explicit flags.
     With --print-config, also prints them."""
     defaults = DEFAULTS[args.command]
     given = _load_config(args.config)
     cfg = {key: given.get(key, value) for key, value in defaults.items()}
-    for key in defaults:
+    for key, default in defaults.items():
+        _check_type(key, cfg[key], default)
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
@@ -139,6 +150,8 @@ def cmd_sample(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
+    if cfg["max_steps"] < 0:
+        raise ConfigError("max_steps must be >= 0 (0: no limit)")
     train_recs, val_recs = load_dataset(args.data)
     result = train(train_recs, _model_config(cfg), _train_config(cfg),
                    val_records=val_recs or None, out_dir=args.out,

@@ -108,17 +108,16 @@ def surface_pressure(normals: np.ndarray, curvature: np.ndarray) -> np.ndarray:
             + GENERATOR_VERSION["cp_curvature_gain"] * kappa_z)
 
 
-def potential_flow_velocity(points: np.ndarray, radius: float,
-                            u_inf: float = 1.0) -> np.ndarray:
-    """Dipole potential-flow velocity around a sphere of given radius,
-    freestream +x; exact for r >= radius, divergence-free everywhere."""
+def potential_flow_velocity(points: np.ndarray, radius: float) -> np.ndarray:
+    """Dipole potential flow around a sphere of given radius, unit freestream
+    along +x; exact for r >= radius, divergence-free everywhere."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     r = np.linalg.norm(points, axis=1)
     e_r = points / r[:, None]
     cos_theta = e_r[:, 0]
     ratio = (radius / r) ** 3
-    v_r = u_inf * cos_theta * (1.0 - ratio)
-    v_theta = -u_inf * np.sqrt(np.maximum(0.0, 1.0 - cos_theta ** 2)) \
+    v_r = cos_theta * (1.0 - ratio)
+    v_theta = -np.sqrt(np.maximum(0.0, 1.0 - cos_theta ** 2)) \
         * (1.0 + 0.5 * ratio)
     # e_theta = (e_r cos(theta) - x_hat)/sin(theta); guard the axis
     sin_theta = np.sqrt(np.maximum(0.0, 1.0 - cos_theta ** 2))
@@ -157,8 +156,8 @@ def generate_sample(spec: ShapeSpec) -> SampleRecord:
     rng = SplitMix64(spec.seed)
     vol = shell_points(spec.n_volume, spec.r_min * r_eq, spec.r_max * r_eq, rng)
     velocity = potential_flow_velocity(vol, r_eq)
-    surface = PointCloud(points, normals, np.zeros((spec.n_surface, 0)), "surface")
-    volume = PointCloud(vol, None, np.zeros((spec.n_volume, 0)), "volume")
+    surface = PointCloud(points, normals, "surface")
+    volume = PointCloud(vol, None, "volume")
     return SampleRecord(surface=surface, volume=volume, pressure=pressure,
                         velocity=velocity,
                         drag=drag_coefficient(spec.a, spec.b, spec.c),
@@ -183,6 +182,9 @@ class DatasetSpec:
                 raise ValueError("axis ranges must satisfy 0 < lo <= hi")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        # every sample's ShapeSpec takes these counts and radii
+        ShapeSpec(1.0, 1.0, 1.0, self.n_surface, self.n_volume, self.r_min,
+                  self.r_max)
 
 
 def _draw_axes(dspec: DatasetSpec, rng: SplitMix64) -> tuple[float, float, float]:

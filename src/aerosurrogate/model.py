@@ -54,13 +54,6 @@ class ModelConfig:
     def dtype(self):
         return np.float64 if self.precision == "f64" else np.float32
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(**d)
-
 
 @dataclass
 class ModelState:
@@ -114,8 +107,7 @@ def init_model(config: ModelConfig,
                       params=params)
 
 
-def _input_features(config: ModelConfig, cloud: PointCloud, role_flag: float,
-                    dtype) -> np.ndarray:
+def _input_features(config: ModelConfig, cloud: PointCloud) -> np.ndarray:
     n = cloud.n_points
     cols = [cloud.positions]
     if config.geom_width == 6:
@@ -128,8 +120,8 @@ def _input_features(config: ModelConfig, cloud: PointCloud, role_flag: float,
                 "with them (geom_width=6)")
         else:
             cols.append(np.zeros((n, 3)))
-    cols.append(np.full((n, 1), role_flag))
-    return np.concatenate(cols, axis=1).astype(dtype)
+    cols.append(np.full((n, 1), 1.0 if cloud.role == "surface" else 0.0))
+    return np.concatenate(cols, axis=1).astype(config.dtype)
 
 
 def _mlp_t(x: Tensor, t: dict, prefix: str) -> Tensor:
@@ -152,15 +144,14 @@ def forward_graph(state: ModelState, surface: PointCloud,
     and the outputs are plain value Tensors.
     """
     config = state.config
-    dtype = config.dtype
     t = state.params if params_t is None else params_t
 
     n_s = surface.n_points
-    feats = [_input_features(config, surface, 1.0, dtype)]
+    feats = [_input_features(config, surface)]
     n_v = 0
     if volume is not None and volume.n_points > 0:
         n_v = volume.n_points
-        feats.append(_input_features(config, volume, 0.0, dtype))
+        feats.append(_input_features(config, volume))
     x = Tensor(np.concatenate(feats, axis=0))
 
     x = ad.add(ad.matmul(x, t["embedding.w"]), t["embedding.b"])
@@ -227,7 +218,7 @@ def save_checkpoint(state: ModelState, path) -> None:
         offset += len(blob)
     header = {
         "version": CHECKPOINT_VERSION,
-        "config": state.config.to_dict(),
+        "config": asdict(state.config),
         "stats": state.stats.to_dict(),
         "tensors": tensors,
     }
@@ -252,8 +243,8 @@ def _read_header(data: bytes, path) -> tuple[ModelConfig, NormalizationStats,
         if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: unsupported version {header.get('version')}")
-        config = ModelConfig.from_dict(header["config"])
-        stats = NormalizationStats.from_dict(header["stats"])
+        config = ModelConfig(**header["config"])
+        stats = NormalizationStats(**header["stats"])
         table = [(str(e["name"]), tuple(int(d) for d in e["shape"]),
                   np.dtype(e["dtype"]), int(e["offset"]))
                  for e in header["tensors"]]

@@ -2,21 +2,22 @@
 
 A sample lives in one directory:
 
-    surface.txt   header "N_s C_u has_normals", then one point per row
+    surface.txt   header "N_s C_u has_normals", then rows "x y z [nx ny nz]"
     volume.txt    header "N_v C_u 0", volume points never carry normals
     pressure.txt  N_s pressure coefficients, one per row
     velocity.txt  N_v rows of "vx vy vz"
     cd.txt        one drag coefficient
 
-Every file is one row per line; blank lines are skipped on reading, and
-a malformed value is reported as `file:line`. All decimals are written
-with 17 significant digits (%.17g) so float64 values round-trip
-bit-exactly. A prediction directory holds the same three target files
-(pressure.txt, velocity.txt, cd.txt). A dataset root holds manifest.json
-listing the sample directories.
+C_u counts extra per-point feature columns and must be 0: the model reads
+positions and normals only. Every file is one row per line; blank lines
+are skipped on reading, and a malformed value is reported as
+`file:line`. All decimals are written with 17 significant digits (%.17g)
+so float64 values round-trip bit-exactly. A prediction directory holds
+the same three target files (pressure.txt, velocity.txt, cd.txt). A
+dataset root holds manifest.json listing the sample directories.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 import json
 
@@ -34,12 +35,11 @@ class SampleFormatError(ValueError):
 
 @dataclass(frozen=True)
 class PointCloud:
-    """N points with positions, optional unit normals, optional extra
-    feature channels, and a surface/volume role tag."""
+    """N points with positions, optional unit normals, and a
+    surface/volume role tag."""
 
     positions: np.ndarray           # (N, 3)
     normals: np.ndarray | None      # (N, 3) or None
-    extra_features: np.ndarray      # (N, C_u), C_u may be 0
     role: str                       # "surface" or "volume"
 
     def __post_init__(self):
@@ -57,14 +57,6 @@ class PointCloud:
             lengths = np.linalg.norm(nrm, axis=1)
             if not np.all(np.abs(lengths - 1.0) <= 1e-6):
                 raise ValueError("normals must have unit length within 1e-6")
-        feats = np.asarray(self.extra_features, dtype=np.float64)
-        if feats.ndim == 1:
-            feats = feats.reshape(pos.shape[0], -1)
-        object.__setattr__(self, "extra_features", feats)
-        if feats.shape[0] != pos.shape[0]:
-            raise ValueError("extra_features row count must equal N")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("non-finite feature value")
         if self.role not in ("surface", "volume"):
             raise ValueError(f"role must be surface|volume, got {self.role!r}")
 
@@ -72,17 +64,12 @@ class PointCloud:
     def n_points(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def n_extra(self) -> int:
-        return self.extra_features.shape[1]
-
     def select(self, indices) -> "PointCloud":
         """Subset by index array, preserving order."""
         idx = np.asarray(indices, dtype=np.int64)
         return PointCloud(
             positions=self.positions[idx],
             normals=None if self.normals is None else self.normals[idx],
-            extra_features=self.extra_features[idx],
             role=self.role,
         )
 
@@ -157,24 +144,10 @@ class NormalizationStats:
                                   np.zeros(3), np.ones(3), 0.0, 1.0)
 
     def to_dict(self) -> dict:
-        return {
-            "position_center": [float(x) for x in self.position_center],
-            "position_scale": float(self.position_scale),
-            "pressure_mean": float(self.pressure_mean),
-            "pressure_std": float(self.pressure_std),
-            "velocity_mean": [float(x) for x in self.velocity_mean],
-            "velocity_std": [float(x) for x in self.velocity_std],
-            "drag_mean": float(self.drag_mean),
-            "drag_std": float(self.drag_std),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "NormalizationStats":
-        return NormalizationStats(
-            np.asarray(d["position_center"]), d["position_scale"],
-            d["pressure_mean"], d["pressure_std"],
-            np.asarray(d["velocity_mean"]), np.asarray(d["velocity_std"]),
-            d["drag_mean"], d["drag_std"])
+        """JSON-ready fields; NormalizationStats(**d) reads them back."""
+        return {f.name: np.asarray(getattr(self, f.name),
+                                   dtype=np.float64).tolist()
+                for f in fields(self)}
 
 
 def compute_stats(records: list[SampleRecord]) -> NormalizationStats:
@@ -210,14 +183,10 @@ def compute_stats(records: list[SampleRecord]) -> NormalizationStats:
 
 
 def normalize_cloud(cloud: PointCloud, center, scale) -> PointCloud:
-    """Cloud with positions mapped to (p - center)/scale; normals and
-    features unchanged."""
-    return PointCloud(
-        positions=(cloud.positions - center) / scale,
-        normals=cloud.normals,
-        extra_features=cloud.extra_features,
-        role=cloud.role,
-    )
+    """Cloud with positions mapped to (p - center)/scale; normals
+    unchanged."""
+    return PointCloud(positions=(cloud.positions - center) / scale,
+                      normals=cloud.normals, role=cloud.role)
 
 
 def normalize(record: SampleRecord, stats: NormalizationStats) -> SampleRecord:
@@ -231,22 +200,6 @@ def normalize(record: SampleRecord, stats: NormalizationStats) -> SampleRecord:
         pressure=(record.pressure - stats.pressure_mean) / stats.pressure_std,
         velocity=(record.velocity - stats.velocity_mean) / stats.velocity_std,
         drag=(record.drag - stats.drag_mean) / stats.drag_std,
-        id=record.id,
-    )
-
-
-def denormalize(record: SampleRecord, stats: NormalizationStats) -> SampleRecord:
-    """Inverse of normalize()."""
-    return SampleRecord(
-        surface=normalize_cloud(record.surface,
-                                -stats.position_center / stats.position_scale,
-                                1.0 / stats.position_scale),
-        volume=normalize_cloud(record.volume,
-                               -stats.position_center / stats.position_scale,
-                               1.0 / stats.position_scale),
-        pressure=record.pressure * stats.pressure_std + stats.pressure_mean,
-        velocity=record.velocity * stats.velocity_std + stats.velocity_mean,
-        drag=record.drag * stats.drag_std + stats.drag_mean,
         id=record.id,
     )
 
@@ -314,13 +267,14 @@ def _load_cloud(path: Path, role: str) -> PointCloud:
         raise SampleFormatError(f"{path}:1: non-integer header field") from None
     if has_normals not in (0, 1):
         raise SampleFormatError(f"{path}:1: has_normals must be 0 or 1")
-    if c_u < 0:
-        raise SampleFormatError(f"{path}:1: C_u must be >= 0")
-    arr = _read_rows(path, n, 3 + 3 * has_normals + c_u, lines, start=1)
+    if c_u != 0:
+        raise SampleFormatError(
+            f"{path}:1: C_u must be 0 (feature columns are not read)")
+    arr = _read_rows(path, n, 3 + 3 * has_normals, lines, start=1)
     try:
         return PointCloud(positions=arr[:, :3],
-                          normals=arr[:, 3:6] if has_normals else None,
-                          extra_features=arr[:, 3 + 3 * has_normals:], role=role)
+                          normals=arr[:, 3:] if has_normals else None,
+                          role=role)
     except ValueError as e:
         raise SampleFormatError(f"{path}: {e}") from None
 
@@ -373,10 +327,9 @@ def save_sample(record: SampleRecord, path) -> None:
     for name, cloud in (("surface.txt", record.surface),
                         ("volume.txt", record.volume)):
         has_n = cloud.normals is not None
-        cols = [cloud.positions] + ([cloud.normals] if has_n else []) \
-            + [cloud.extra_features]
+        cols = [cloud.positions] + ([cloud.normals] if has_n else [])
         _write_rows(path / name, np.hstack(cols),
-                    header=f"{cloud.n_points} {cloud.n_extra} {int(has_n)}")
+                    header=f"{cloud.n_points} 0 {int(has_n)}")
     save_targets(path, record.pressure, record.velocity, record.drag)
 
 

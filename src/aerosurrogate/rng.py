@@ -29,10 +29,6 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & _MASK
         return mix64(self._state)
 
-    def next_float(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
     def below(self, n: int) -> int:
         """Uniform integer in [0, n). Modulo reduction; the tiny bias is
         irrelevant here, determinism is what matters."""

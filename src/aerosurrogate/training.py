@@ -14,7 +14,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .model import ModelConfig, ModelState, init_model, forward_graph, \
     save_checkpoint
-from .pointcloud import SampleRecord, NormalizationStats, compute_stats, normalize
+from .pointcloud import PointCloud, SampleRecord, compute_stats, normalize
 from .rng import SplitMix64, derive_seed
 
 _NORM_FLOOR = 1e-30
@@ -166,8 +166,7 @@ def train_step(state: ModelState, record: SampleRecord, weights: LossWeights,
 def train(records: list[SampleRecord], model_config: ModelConfig,
           train_config: TrainConfig,
           val_records: list[SampleRecord] | None = None,
-          out_dir=None, max_steps: int | None = None,
-          stats: NormalizationStats | None = None) -> TrainResult:
+          out_dir=None, max_steps: int | None = None) -> TrainResult:
     """Train on raw (unnormalized) records; one Adam step per sample, epoch
     order shuffled by the seeded generator.
 
@@ -176,7 +175,7 @@ def train(records: list[SampleRecord], model_config: ModelConfig,
     mean training loss of the epoch does."""
     if not records:
         raise ValueError("need at least one training sample")
-    stats = stats or compute_stats(records)
+    stats = compute_stats(records)
     normed = [normalize(r, stats) for r in records]
     val_normed = [normalize(r, stats) for r in val_records or []]
     state = init_model(model_config, stats)
@@ -242,9 +241,8 @@ def write_loss_csv(rows: list[dict], path) -> None:
 # gradient verification
 
 
-def _synthetic_record(config: ModelConfig, seed: int, n_s: int = 5,
-                      n_v: int = 3) -> SampleRecord:
-    from .pointcloud import PointCloud
+def _synthetic_record(seed: int) -> SampleRecord:
+    n_s, n_v = 5, 3
     rng = SplitMix64(seed)
 
     def uniforms(n):
@@ -254,9 +252,8 @@ def _synthetic_record(config: ModelConfig, seed: int, n_s: int = 5,
     normals = uniforms(n_s * 3).reshape(n_s, 3)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     pos_v = uniforms(n_v * 3).reshape(n_v, 3)
-    surface = PointCloud(pos_s, normals if config.geom_width == 6 else None,
-                         np.zeros((n_s, 0)), "surface")
-    volume = PointCloud(pos_v, None, np.zeros((n_v, 0)), "volume")
+    surface = PointCloud(pos_s, normals, "surface")
+    volume = PointCloud(pos_v, None, "volume")
     return SampleRecord(surface=surface, volume=volume,
                         pressure=uniforms(n_s), velocity=uniforms(n_v * 3).reshape(n_v, 3),
                         drag=float(uniforms(1)[0]), id="gradcheck")
@@ -273,22 +270,19 @@ class GradCheckReport:
         return self.max_rel_error < self.tolerance
 
 
-def grad_check(model_config: ModelConfig | None = None, tolerance: float = 1e-5,
-               h: float = 1e-5, seed: int = 1234,
+def grad_check(tolerance: float = 1e-5, seed: int = 1234,
                corrupt_tensor: str | None = None) -> GradCheckReport:
     """Compare analytic gradients of the composite loss against central
-    finite differences for every parameter tensor of a tiny model.
+    finite differences (step 1e-5) for every parameter tensor of a tiny
+    f64 model with normals.
 
     corrupt_tensor is a test hook: perturbs one analytic gradient so the
     harness itself can be checked to fail.
     """
-    config = model_config or ModelConfig(layers=1, channels=4, slices=2,
-                                         heads=2, seed=seed, precision="f64",
-                                         geom_width=6)
-    if config.precision != "f64":
-        raise ValueError("grad_check requires f64 precision")
-    state = init_model(config)
-    record = _synthetic_record(config, seed=derive_seed(seed, 1))
+    h = 1e-5
+    state = init_model(ModelConfig(layers=1, channels=4, slices=2, heads=2,
+                                   geom_width=6, seed=seed, precision="f64"))
+    record = _synthetic_record(seed=derive_seed(seed, 1))
     weights = LossWeights()
 
     params_t = _wrap_params(state)

@@ -100,10 +100,8 @@ def test_criterion_04_permutation_properties():
     n_s, n_v = 64, 32
     normals = rng.normal(size=(n_s, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    surface = PointCloud(rng.normal(size=(n_s, 3)), normals,
-                         np.zeros((n_s, 0)), "surface")
-    volume = PointCloud(rng.normal(size=(n_v, 3)), None,
-                        np.zeros((n_v, 0)), "volume")
+    surface = PointCloud(rng.normal(size=(n_s, 3)), normals, "surface")
+    volume = PointCloud(rng.normal(size=(n_v, 3)), None, "volume")
     base = forward(state, surface, volume)
     worst = 0.0
     for _ in range(100):

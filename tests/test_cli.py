@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -41,6 +42,20 @@ class TestGenData:
 
     def test_missing_out_is_usage_error(self):
         assert run(["gen-data", "--n", "2"]) == 2
+
+    @pytest.mark.parametrize("argv,settings", [
+        (["--n-surface", "0"], {}), ([], {"r_min": 0.5})],
+        ids=["n_surface_0", "r_min_0.5"])
+    def test_bad_shape_setting_is_config_error(self, tmp_path, capsys, argv,
+                                               settings):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(settings))
+        code, _, err = run(["gen-data", "--n", "1", *argv, "--config",
+                            str(cfg_path), "--out", str(tmp_path / "d")],
+                           capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not (tmp_path / "d").exists()
 
     def test_repeat_identical_tree(self, tmp_path):
         a = gen(tmp_path, name="a")
@@ -108,6 +123,20 @@ class TestSample:
                             "--out", str(tmp_path / "reduced")], capsys)
         assert code == 1
         assert err.startswith(f"error: {surface}")
+
+    @pytest.mark.parametrize("name", ["surface.txt", "volume.txt"])
+    def test_feature_columns_are_runtime_error(self, tmp_path, capsys, name):
+        data = gen(tmp_path, n=1, n_surface=24)
+        sample_dir = data / read_manifest(data)["samples"][0]
+        path = sample_dir / name
+        lines = path.read_text().splitlines()
+        n, _, has_normals = lines[0].split()
+        lines = [f"{n} 1 {has_normals}"] + [ln + " 0.5" for ln in lines[1:]]
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["sample", "--n", "8", "--in", str(sample_dir),
+                            "--out", str(tmp_path / "reduced")], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {path}:1: C_u must be 0")
 
 
 class TestMalformedManifest:
@@ -330,6 +359,16 @@ class TestMalformedCheckpoint:
         self.check(pipeline, tmp_path, capsys, path,
                    "embedding.b dtype float64 != precision f32")
 
+    @pytest.mark.parametrize("edit,match", [
+        (lambda s: {**s, "bogus_stat": 0.0}, "unexpected .*'bogus_stat'"),
+        (lambda s: {k: v for k, v in s.items() if k != "drag_std"},
+         "missing .*'drag_std'")], ids=["extra_key", "missing_drag_std"])
+    def test_stats_keys_must_match_fields(self, pipeline, tmp_path, capsys,
+                                          edit, match):
+        path = tiny_checkpoint(tmp_path / "c.bin", edit=lambda h: {
+            **h, "stats": edit(h["stats"])})
+        self.check(pipeline, tmp_path, capsys, path, match)
+
     @pytest.mark.parametrize("key", ["extra_width", "ffn_width", "head_hidden"])
     def test_removed_config_key_is_named(self, pipeline, tmp_path, capsys,
                                          key):
@@ -412,6 +451,35 @@ class TestConfigHandling:
         assert code == 2
         assert err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,settings,message", [
+        ("sample", {"n_points": "x"}, 'n_points must be int, got "x"'),
+        ("sample", {"n_points": True}, "n_points must be int, got true"),
+        ("train", {"epochs": 2.5}, "epochs must be int, got 2.5"),
+        ("sample", {"curvature_fraction": 1},
+         "curvature_fraction must be strictly inside (0,1)"),
+    ], ids=["str_for_int", "bool_for_int", "float_for_int", "int_for_float"])
+    def test_wrong_json_type_is_config_error(self, tmp_path, capsys, command,
+                                             settings, message):
+        data = gen(tmp_path, n=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(settings))
+        sample_dir = data / read_manifest(data)["samples"][0]
+        argv = {"sample": ["--in", str(sample_dir)],
+                "train": ["--data", str(data)]}[command]
+        code, _, err = run([command, "--config", str(cfg_path), *argv,
+                            "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_max_steps_is_config_error(self, tmp_path, capsys):
+        data = gen(tmp_path, n=1)
+        code, _, err = run(["train", "--data", str(data), "--max-steps", "-1",
+                            "--out", str(tmp_path / "run")], capsys)
+        assert code == 2
+        assert "max_steps must be >= 0" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestRuntimeValueError:
@@ -498,7 +566,7 @@ class TestSettingsDeclaredOnce:
         assert run(["train", "--data", str(data), "--out", str(run_dir),
                     "--config", str(cfg_path)]) == 0
         config = load_checkpoint(run_dir / "checkpoint_final.bin").config
-        assert config.to_dict() == model_keys
+        assert dataclasses.asdict(config) == model_keys
 
     def test_shared_config_file_serves_every_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

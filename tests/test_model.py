@@ -25,10 +25,8 @@ def tiny_clouds(n_s=3, n_v=2, seed=0):
     rng = np.random.default_rng(seed)
     normals = rng.normal(size=(n_s, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    surface = PointCloud(rng.normal(size=(n_s, 3)), normals,
-                         np.zeros((n_s, 0)), "surface")
-    volume = PointCloud(rng.normal(size=(n_v, 3)), None,
-                        np.zeros((n_v, 0)), "volume")
+    surface = PointCloud(rng.normal(size=(n_s, 3)), normals, "surface")
+    volume = PointCloud(rng.normal(size=(n_v, 3)), None, "volume")
     return surface, volume
 
 

@@ -14,7 +14,7 @@ from aerosurrogate.sampling import (
 
 def cloud_from(points):
     points = np.asarray(points, dtype=np.float64)
-    return PointCloud(points, None, np.zeros((len(points), 0)), "surface")
+    return PointCloud(points, None, "surface")
 
 
 def grid_plane(n_side=12, z=0.0):

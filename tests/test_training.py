@@ -288,7 +288,3 @@ class TestGradCheck:
     def test_infinite_tolerance_passes(self):
         report = grad_check(tolerance=math.inf)
         assert report.passed
-
-    def test_requires_f64(self):
-        with pytest.raises(ValueError):
-            grad_check(model_config=tiny_model_config(precision="f32"))
