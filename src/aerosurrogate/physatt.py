@@ -9,8 +9,10 @@ canonical pre-norm Transformer block.
 Each stage exists once, as an ndarray function that carries the heads as
 a leading axis (slice weights are (H, M, N)), so all heads run in batched
 matmuls. attention_block_t runs the whole block as one autodiff node: its
-forward calls the stages and its backward is derived by hand. The
-ndarray wrappers at the end call the same stages with one head.
+forward calls the stages and its backward is derived by hand. Untracked,
+it runs the point-local stages after the token attention in fixed chunks
+of rows, and those up to the token aggregation, the one sum over all
+points, over all N. The ndarray wrappers call the stages with one head.
 """
 
 from dataclasses import dataclass, fields
@@ -25,6 +27,7 @@ from .rng import SplitMix64
 
 LAYER_NORM_EPS = 1e-5
 _TOKEN_DENOM_FLOOR = 1e-30
+_ROWS = 1024    # points per chunk of the untracked block's point-local stages
 
 
 @dataclass
@@ -227,23 +230,55 @@ def _deslice(w: np.ndarray, z_prime: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_rows(x: np.ndarray, p: LayerParams) -> np.ndarray:
+    """The block's forward, keeping no activations. The stages after the
+    token attention act on single points and run over chunks of _ROWS rows,
+    the last taking the remainder: no chunk GEMM is shorter than _ROWS rows
+    (BLAS may round a shorter one differently) and the output is bit-equal
+    to the unchunked forward's."""
+    n, h = x.shape[0], p.heads
+    a = _layer_norm(x, p.ln1_gain, p.ln1_bias, keep=False)[0]
+    w = _slice_weights(a, p.slice_proj, p.slice_bias, math.exp(p.log_tau), h)
+    z_prime = _attend(_aggregate(a, w)[0], h, p.w_q, p.b_q, p.w_k, p.b_k,
+                      p.w_v, p.b_v, p.w_o, p.b_o)[0]
+    del a
+    out = np.empty(x.shape, x.dtype)
+    bounds = [0, *range(_ROWS, n - _ROWS + 1, _ROWS), n]
+    for rows in map(slice, bounds, bounds[1:]):
+        x_hat = _deslice(w[..., rows], z_prime)
+        x_hat += x[rows]
+        f = _layer_norm(x_hat, p.ln2_gain, p.ln2_bias, keep=False)[0]
+        pre = f @ p.ffn_w1
+        pre += p.ffn_b1
+        hidden = _gelu_tanh(pre)
+        hidden += 1.0
+        hidden *= pre
+        hidden *= 0.5
+        np.matmul(hidden, p.ffn_w2, out=out[rows])
+        out[rows] += p.ffn_b2
+        out[rows] += x_hat
+    return out
+
+
 def attention_block_t(x: Tensor, p: LayerParams) -> Tensor:
     """Pre-norm residual block as one autodiff node, with x and the fields
     of p as its parents:
     x_hat = PhysicsAttn(LN(x)) + x; out = FFN(LN(x_hat)) + x_hat.
 
     Computed on ndarrays in the dtype of x, to which the fields of p are
-    cast. The activations the hand-derived backward needs are kept only
-    when x or a field of p requires a gradient; otherwise the norms and
-    the GELU work in place and each activation is dropped once used."""
+    cast. When neither x nor a field of p requires a gradient, the
+    forward runs in row chunks (_block_rows) and records no graph;
+    otherwise it runs over all N at once and keeps the activations the
+    hand-derived backward needs."""
     parents = (ad.as_tensor(x),) + tuple(ad.as_tensor(v)
                                          for _, v in p.named_arrays())
-    keep = any(t.requires_grad for t in parents)
     x = parents[0].value
     h, p = p.heads, LayerParams(heads=p.heads, **{
         name: np.asarray(t.value, dtype=x.dtype)
         for (name, _), t in zip(p.named_arrays(), parents[1:])})
-    a, normed1, std1 = _layer_norm(x, p.ln1_gain, p.ln1_bias, keep)
+    if not any(t.requires_grad for t in parents):
+        return Tensor(_block_rows(x, p))
+    a, normed1, std1 = _layer_norm(x, p.ln1_gain, p.ln1_bias, keep=True)
     tau = math.exp(p.log_tau)
     w = _slice_weights(a, p.slice_proj, p.slice_bias, tau, h)
     z, denom = _aggregate(a, w)
@@ -251,24 +286,16 @@ def attention_block_t(x: Tensor, p: LayerParams) -> Tensor:
         z, h, p.w_q, p.b_q, p.w_k, p.b_k, p.w_v, p.b_v, p.w_o, p.b_o)
     x_hat = _deslice(w, z_prime)
     x_hat += x
-    if not keep:
-        del a, normed1, w
-    f, normed2, std2 = _layer_norm(x_hat, p.ln2_gain, p.ln2_bias, keep)
+    f, normed2, std2 = _layer_norm(x_hat, p.ln2_gain, p.ln2_bias, keep=True)
     pre = f @ p.ffn_w1
     pre += p.ffn_b1
-    if not keep:
-        del f, normed2
     th = _gelu_tanh(pre)
-    hidden = np.add(th, 1.0, out=None if keep else th)
+    hidden = th + 1.0
     hidden *= pre
     hidden *= 0.5
-    if not keep:
-        del pre
     out = hidden @ p.ffn_w2
     out += p.ffn_b2
     out += x_hat
-    if not keep:
-        return Tensor(out)
 
     def backward(g):
         d = {}

@@ -271,6 +271,12 @@ def _load_cloud(path: Path, role: str) -> PointCloud:
         raise SampleFormatError(
             f"{path}:1: C_u must be 0 (feature columns are not read)")
     arr = _read_rows(path, n, 3 + 3 * has_normals, lines, start=1)
+    with np.errstate(over="ignore"):    # a squared distance reaches |2p|^2
+        overflow = ~np.isfinite(((2.0 * arr[:, :3]) ** 2).sum(axis=1))
+    if overflow.any():
+        raise SampleFormatError(
+            f"{path}: coordinates overflow: the squared distances of point "
+            f"{int(np.argmax(overflow))} are not finite in float64")
     try:
         return PointCloud(positions=arr[:, :3],
                           normals=arr[:, 3:] if has_normals else None,

@@ -175,6 +175,8 @@ def train(records: list[SampleRecord], model_config: ModelConfig,
     mean training loss of the epoch does."""
     if not records:
         raise ValueError("need at least one training sample")
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1 or None, got {max_steps}")
     stats = compute_stats(records)
     normed = [normalize(r, stats) for r in records]
     val_normed = [normalize(r, stats) for r in val_records or []]

@@ -272,6 +272,48 @@ class TestTrainPredictEvaluate:
         assert code == 1
 
 
+class TestOverflowingCoordinates:
+    """A cloud whose squared distances overflow float64 is a sample-file
+    error that names the file, for every command that loads it."""
+
+    @staticmethod
+    def scaled_copy(sample_dir, dest, scale):
+        dest.mkdir()
+        for path in sample_dir.iterdir():
+            lines = path.read_text().splitlines()
+            if path.name in ("surface.txt", "volume.txt"):
+                rows = [ln.split() for ln in lines[1:]]
+                lines = lines[:1] + [" ".join(
+                    [repr(float(v) * scale) for v in r[:3]] + r[3:])
+                    for r in rows]
+            (dest / path.name).write_text("\n".join(lines) + "\n")
+        return dest
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_sample_exits_1(self, tmp_path, capsys, scale):
+        data = gen(tmp_path, n=1, n_surface=24)
+        far = self.scaled_copy(data / read_manifest(data)["samples"][0],
+                               tmp_path / "far", scale)
+        code, _, err = run(["sample", "--n", "8", "--in", str(far),
+                            "--out", str(tmp_path / "reduced")], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {far / 'surface.txt'}: coordinates "
+                              "overflow")
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_predict_exits_1(self, pipeline, tmp_path, capsys, scale):
+        _, data, run_dir = pipeline
+        far = self.scaled_copy(data / read_manifest(data)["samples"][0],
+                               tmp_path / "far", scale)
+        code, _, err = run(["predict", "--checkpoint",
+                            str(run_dir / "checkpoint_final.bin"),
+                            "--in", str(far), "--out", str(tmp_path / "pred")],
+                           capsys)
+        assert code == 1
+        assert err.startswith(f"error: {far / 'surface.txt'}: coordinates "
+                              "overflow")
+
+
 class TestTrainReport:
     ARGS = ["--epochs", "3", "--layers", "1", "--channels", "8", "--slices",
             "2", "--heads", "2", "--seed", "1"]

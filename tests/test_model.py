@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aerosurrogate.autodiff import Tensor
 from aerosurrogate.model import (ModelConfig, init_model, forward,
                                  forward_graph, predict_denormalized,
                                  save_checkpoint, load_checkpoint,
@@ -149,6 +150,27 @@ class TestInferenceMemory:
             assert out._parents == ()
             assert out._backward is None
             assert not out.requires_grad
+
+
+class TestChunkedInference:
+    """forward runs each block in row chunks; a forward_graph with
+    parameters that require gradients runs them over all N at once."""
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_forward_equals_tracked_forward_graph(self, precision):
+        state = init_model(ModelConfig(layers=2, channels=64, slices=16,
+                                       heads=4, seed=2, precision=precision))
+        surface, volume = tiny_clouds(n_s=3000, n_v=1100, seed=4)
+        params_t = {name: Tensor(a, requires_grad=True)
+                    for name, a in state.params.items()}
+        drag, pressure, velocity = forward_graph(state, surface, volume,
+                                                 params_t)
+        pred = forward(state, surface, volume)
+        assert pred.drag == float(drag.value)
+        np.testing.assert_array_equal(pred.pressure,
+                                      pressure.value.astype(np.float64))
+        np.testing.assert_array_equal(pred.velocity,
+                                      velocity.value.astype(np.float64))
 
 
 class TestPredictDenormalized:

@@ -499,6 +499,57 @@ class TestFusedBlock:
         assert peak < 3.0 * n * ffn * 8
 
 
+class TestRowChunks:
+    """Untracked, attention_block_t runs the stages after the token
+    attention in row chunks of 1024 points; tracked, it runs them over all
+    N at once. The two give the same bytes."""
+
+    @staticmethod
+    def params(heads, dtype):
+        p = random_params(64, 16, heads=heads, ffn=128, seed=heads)
+        for i, (name, arr) in enumerate(p.named_arrays()):
+            if arr.ndim == 1:    # biases and gains start at 0 or 1
+                arr[...] = rand(arr.size, seed=60 + i)
+        return LayerParams(heads=heads, **{name: a.astype(dtype)
+                                           for name, a in p.named_arrays()})
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3 * 1024 + 37])
+    def test_untracked_equals_tracked_bit_for_bit(self, n, heads, dtype):
+        p = self.params(heads, dtype)
+        x = rand(n, 64, seed=n).astype(dtype)
+        tracked = attention_block_t(Tensor(x, requires_grad=True), p)
+        assert tracked._backward is not None
+        out = attention_block(x, p)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, tracked.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_a_later_chunk_raises(self, bad):
+        p = self.params(2, np.float64)
+        x = rand(3000, 64, seed=5)
+        x[2500, 7] = bad
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite slice logits"):
+            attention_block(x, p)
+
+    def test_untracked_peak_below_three_activations(self):
+        # live at the peak: the layer-norm output a and the slice weights w
+        # during the aggregation, or w and out with one chunk's temporaries;
+        # the unchunked forward peaked at 5.0 N C 8 bytes
+        n, c = 32768, 64
+        p = self.params(4, np.float64)
+        x = Tensor(rand(n, c, seed=9))
+        tracemalloc.start()
+        try:
+            attention_block_t(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * c * 8
+
+
 class TestInit:
     def test_deterministic(self):
         p1 = random_params(8, 4, heads=2, seed=9)

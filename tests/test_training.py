@@ -215,6 +215,12 @@ class TestTrainLoop:
         last = res.log_rows[-1]["loss_total"]
         assert last < 0.01 * first
 
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_max_steps_below_one_rejected(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            train(tiny_dataset(1), tiny_model_config(),
+                  TrainConfig(epochs=3, seed=3), max_steps=max_steps)
+
     def test_zero_epochs_returns_initial_model(self):
         recs = tiny_dataset(2)
         res = train(recs, tiny_model_config(), TrainConfig(epochs=0, seed=3))
