@@ -3,7 +3,10 @@
 Runs the full training loss (velocity + pressure + drag terms) through
 the reverse-mode engine on a tiny double-precision model and compares
 every parameter tensor's gradient to a finite-difference estimate.
+Exits 1 when the check fails.
 """
+
+import sys
 
 from aerosurrogate.training import grad_check
 
@@ -18,3 +21,4 @@ for name, err in worst:
     print(f"  {name:<28} {err:.3e}")
 
 print("\nPASS" if report.passed else "\nFAIL")
+sys.exit(0 if report.passed else 1)

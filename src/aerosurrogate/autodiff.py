@@ -317,6 +317,14 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
+def _gelu_from_tanh(x: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
+    """GELU of x from t = _gelu_tanh(x): 0.5*x*(1 + t), into out if given."""
+    out = np.add(t, 1.0, out=out)
+    out *= x
+    out *= 0.5
+    return out
+
+
 def _gelu_grad(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The gradient at x of gelu, given g at its output and
     t = _gelu_tanh(x): g*(0.5*(1 + t) + 0.5*c0*x*(1 - t^2)*(1 + 3*c1*x^2))."""
@@ -340,9 +348,7 @@ def gelu(a) -> Tensor:
     0.5*x*(1 + tanh(c0*(x + c1*x^3))), c0=sqrt(2/pi), c1=0.044715."""
     a = as_tensor(a)
     t = _gelu_tanh(a.value)
-    out_val = t + 1.0
-    out_val *= a.value
-    out_val *= 0.5
+    out_val = _gelu_from_tanh(a.value, t)
 
     def backward(g):
         _accum(a, _gelu_grad(g, a.value, t))

@@ -195,6 +195,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if not args.tolerance > 0:
+        raise ConfigError(f"tolerance must be positive, "
+                          f"got {args.tolerance:g}")
     report = grad_check(tolerance=args.tolerance, seed=_resolve(args)["seed"])
     print(f"max relative gradient error: {report.max_rel_error:.3e} "
           f"(tolerance {report.tolerance:g})")

@@ -121,7 +121,13 @@ def _input_features(config: ModelConfig, cloud: PointCloud) -> np.ndarray:
         else:
             cols.append(np.zeros((n, 3)))
     cols.append(np.full((n, 1), 1.0 if cloud.role == "surface" else 0.0))
-    return np.concatenate(cols, axis=1).astype(config.dtype)
+    with np.errstate(over="ignore"):
+        feats = np.concatenate(cols, axis=1).astype(config.dtype)
+    if not np.all(np.isfinite(feats)):
+        raise SampleFormatError(
+            f"{cloud.role} cloud: normalized coordinates overflow "
+            f"{np.dtype(config.dtype).name}, the model's precision")
+    return feats
 
 
 def _mlp_t(x: Tensor, t: dict, prefix: str) -> Tensor:

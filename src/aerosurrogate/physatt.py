@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _accum, _gelu_grad, _gelu_tanh
+from .autodiff import Tensor, _accum, _gelu_from_tanh, _gelu_grad, _gelu_tanh
 from .rng import SplitMix64
 
 LAYER_NORM_EPS = 1e-5
@@ -250,10 +250,8 @@ def _block_rows(x: np.ndarray, p: LayerParams) -> np.ndarray:
         f = _layer_norm(x_hat, p.ln2_gain, p.ln2_bias, keep=False)[0]
         pre = f @ p.ffn_w1
         pre += p.ffn_b1
-        hidden = _gelu_tanh(pre)
-        hidden += 1.0
-        hidden *= pre
-        hidden *= 0.5
+        t = _gelu_tanh(pre)
+        hidden = _gelu_from_tanh(pre, t, out=t)
         np.matmul(hidden, p.ffn_w2, out=out[rows])
         out[rows] += p.ffn_b2
         out[rows] += x_hat
@@ -290,9 +288,7 @@ def attention_block_t(x: Tensor, p: LayerParams) -> Tensor:
     pre = f @ p.ffn_w1
     pre += p.ffn_b1
     th = _gelu_tanh(pre)
-    hidden = th + 1.0
-    hidden *= pre
-    hidden *= 0.5
+    hidden = _gelu_from_tanh(pre, th)
     out = hidden @ p.ffn_w2
     out += p.ffn_b2
     out += x_hat

@@ -12,9 +12,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .datagen import DatasetSpec, generate_records
 from .model import ModelConfig, ModelState, init_model, forward_graph, \
     save_checkpoint
-from .pointcloud import PointCloud, SampleRecord, compute_stats, normalize
+from .pointcloud import SampleRecord, compute_stats, normalize
 from .rng import SplitMix64, derive_seed
 
 _NORM_FLOOR = 1e-30
@@ -56,22 +57,25 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
 
 
+def _target_norm(y: np.ndarray) -> float:
+    """||y||_2 in float64, the denominator of the relative L2."""
+    denom = float(np.linalg.norm(np.asarray(y, dtype=np.float64)))
+    if denom < _NORM_FLOOR:
+        raise DegenerateTargetError("target norm is zero; relative L2 undefined")
+    return denom
+
+
 def relative_l2(y: np.ndarray, y_hat: np.ndarray) -> float:
     """||y - y_hat||_2 / ||y||_2 (Frobenius for matrices)."""
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     if y.shape != y_hat.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {y_hat.shape}")
-    denom = float(np.linalg.norm(y))
-    if denom < _NORM_FLOOR:
-        raise DegenerateTargetError("target norm is zero; relative L2 undefined")
-    return float(np.linalg.norm(y - y_hat)) / denom
+    return float(np.linalg.norm(y - y_hat)) / _target_norm(y)
 
 
 def _relative_l2_t(y_hat: Tensor, y: np.ndarray) -> Tensor:
-    denom = float(np.linalg.norm(np.asarray(y, dtype=np.float64)))
-    if denom < _NORM_FLOOR:
-        raise DegenerateTargetError("target norm is zero; relative L2 undefined")
+    denom = _target_norm(y)
     y = Tensor(np.asarray(y, dtype=y_hat.value.dtype))
     return ad.mul(ad.frobenius_norm(ad.sub(y_hat, y)), 1.0 / denom)
 
@@ -143,23 +147,27 @@ class TrainResult:
     val_losses: list[float] = field(default_factory=list)  # per epoch
 
 
-def _wrap_params(state: ModelState) -> dict[str, Tensor]:
-    return {name: Tensor(arr, requires_grad=True)
-            for name, arr in state.params.items()}
+def loss_and_grads(state: ModelState, record: SampleRecord,
+                   weights: LossWeights) -> tuple[dict, dict]:
+    """The composite loss of one normalized sample (its components and
+    loss_total) and its gradient for every parameter, zero where unreached."""
+    params_t = {name: Tensor(arr, requires_grad=True)
+                for name, arr in state.params.items()}
+    loss, components = _loss_graph(state, record, weights, params_t)
+    if not np.isfinite(loss.value):
+        raise FloatingPointError(f"non-finite loss on sample {record.id!r}")
+    loss.backward()
+    components["loss_total"] = float(loss.value)
+    return components, {
+        name: (t.grad if t.grad is not None else np.zeros_like(t.value))
+        for name, t in params_t.items()}
 
 
 def train_step(state: ModelState, record: SampleRecord, weights: LossWeights,
                moments: AdamState, config: TrainConfig) -> dict:
     """Single forward/backward/Adam step on one normalized sample."""
-    params_t = _wrap_params(state)
-    loss, components = _loss_graph(state, record, weights, params_t)
-    if not np.isfinite(loss.value):
-        raise FloatingPointError(f"non-finite loss on sample {record.id!r}")
-    loss.backward()
-    grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.value))
-             for name, t in params_t.items()}
+    components, grads = loss_and_grads(state, record, weights)
     adam_step(state.params, grads, moments, config)
-    components["loss_total"] = float(loss.value)
     return components
 
 
@@ -198,7 +206,7 @@ def train(records: list[SampleRecord], model_config: ModelConfig,
         order = list(range(len(normed)))
         rng.shuffle(order)
         epoch_total = 0.0
-        for idx in order:
+        for ran, idx in enumerate(order, 1):
             step += 1
             comp = train_step(state, normed[idx], train_config.weights,
                               moments, train_config)
@@ -207,7 +215,7 @@ def train(records: list[SampleRecord], model_config: ModelConfig,
             if max_steps is not None and step >= max_steps:
                 stop = True
                 break
-        epoch_losses.append(epoch_total / max(1, len(order)))
+        epoch_losses.append(epoch_total / ran)
         score = epoch_losses[-1]
         if val_normed:
             val_losses.append(float(np.mean(
@@ -243,24 +251,6 @@ def write_loss_csv(rows: list[dict], path) -> None:
 # gradient verification
 
 
-def _synthetic_record(seed: int) -> SampleRecord:
-    n_s, n_v = 5, 3
-    rng = SplitMix64(seed)
-
-    def uniforms(n):
-        return rng.uniform_array(n) * 2.0 - 1.0
-
-    pos_s = uniforms(n_s * 3).reshape(n_s, 3)
-    normals = uniforms(n_s * 3).reshape(n_s, 3)
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    pos_v = uniforms(n_v * 3).reshape(n_v, 3)
-    surface = PointCloud(pos_s, normals, "surface")
-    volume = PointCloud(pos_v, None, "volume")
-    return SampleRecord(surface=surface, volume=volume,
-                        pressure=uniforms(n_s), velocity=uniforms(n_v * 3).reshape(n_v, 3),
-                        drag=float(uniforms(1)[0]), id="gradcheck")
-
-
 @dataclass
 class GradCheckReport:
     max_rel_error: float
@@ -274,9 +264,9 @@ class GradCheckReport:
 
 def grad_check(tolerance: float = 1e-5, seed: int = 1234,
                corrupt_tensor: str | None = None) -> GradCheckReport:
-    """Compare analytic gradients of the composite loss against central
-    finite differences (step 1e-5) for every parameter tensor of a tiny
-    f64 model with normals.
+    """Compare the gradients training steps on (loss_and_grads) against
+    central finite differences (step 1e-5) for every parameter tensor of
+    a tiny f64 model with normals, on a 5+3-point datagen sample.
 
     corrupt_tensor is a test hook: perturbs one analytic gradient so the
     harness itself can be checked to fail.
@@ -284,15 +274,10 @@ def grad_check(tolerance: float = 1e-5, seed: int = 1234,
     h = 1e-5
     state = init_model(ModelConfig(layers=1, channels=4, slices=2, heads=2,
                                    geom_width=6, seed=seed, precision="f64"))
-    record = _synthetic_record(seed=derive_seed(seed, 1))
+    record = generate_records(DatasetSpec(
+        n_samples=1, n_surface=5, n_volume=3, seed=derive_seed(seed, 1)))[0]
     weights = LossWeights()
-
-    params_t = _wrap_params(state)
-    loss, _ = _loss_graph(state, record, weights, params_t)
-    loss.backward()
-    analytic = {name: (t.grad.copy() if t.grad is not None
-                       else np.zeros_like(t.value))
-                for name, t in params_t.items()}
+    analytic = loss_and_grads(state, record, weights)[1]
     if corrupt_tensor is not None:
         analytic[corrupt_tensor] = analytic[corrupt_tensor] + 1.0
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,23 @@ class TestOverflowingCoordinates:
         assert err.startswith(f"error: {far / 'surface.txt'}: coordinates "
                               "overflow")
 
+    def test_predict_f32_overflow_exits_1(self, pipeline, tmp_path, capsys):
+        # loads (squared distances are finite in float64), but the
+        # normalized coordinates overflow the f32 model's precision
+        _, data, run_dir = pipeline
+        far = self.scaled_copy(data / read_manifest(data)["samples"][0],
+                               tmp_path / "far", 1e153)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["predict", "--checkpoint",
+                                str(run_dir / "checkpoint_final.bin"),
+                                "--in", str(far),
+                                "--out", str(tmp_path / "pred")], capsys)
+        assert code == 1
+        assert err == ("error: surface cloud: normalized coordinates "
+                       "overflow float32, the model's precision\n")
+        assert not (tmp_path / "pred").exists()
+
 
 class TestTrainReport:
     ARGS = ["--epochs", "3", "--layers", "1", "--channels", "8", "--slices",
@@ -430,6 +448,17 @@ class TestGradCheck:
         code, _, err = run(["grad-check", "--tolerance", "1e-30"], capsys)
         assert code == 1
         assert "FAIL" in err
+
+    @pytest.mark.parametrize("tolerance", ["-1", "0", "nan"])
+    def test_non_positive_tolerance_is_usage_error(self, capsys, monkeypatch,
+                                                   tolerance):
+        def must_not_run(**kw):
+            raise AssertionError("grad_check ran")
+        monkeypatch.setattr("aerosurrogate.cli.grad_check", must_not_run)
+        code, out, err = run(["grad-check", "--tolerance", tolerance], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tolerance must be positive, got {tolerance}\n"
 
 
 class TestConfigHandling:

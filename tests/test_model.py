@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from aerosurrogate.model import (ModelConfig, init_model, forward,
                                  forward_graph, predict_denormalized,
                                  save_checkpoint, load_checkpoint,
                                  CheckpointError)
-from aerosurrogate.pointcloud import PointCloud, compute_stats, normalize
+from aerosurrogate.pointcloud import (PointCloud, SampleFormatError,
+                                      compute_stats, normalize)
 from aerosurrogate.datagen import ShapeSpec, generate_sample
 from aerosurrogate.rng import SplitMix64
 from tests.test_physatt import oracle_layer, oracle_layer_norm, oracle_gelu
@@ -186,6 +188,23 @@ class TestPredictDenormalized:
                                           + stats.drag_mean)
         np.testing.assert_allclose(
             pred.pressure, raw.pressure * stats.pressure_std + stats.pressure_mean)
+
+
+    @pytest.mark.parametrize("role", ["surface", "volume"])
+    def test_f32_overflow_after_normalization_named(self, role):
+        # finite in float64, but past float32's range once normalized
+        surface, volume = tiny_clouds()
+        far = {"surface": surface, "volume": volume}[role]
+        far = PointCloud(far.positions * 1e153, far.normals, role)
+        clouds = {"surface": surface, "volume": volume, role: far}
+        state = init_model(tiny_config(precision="f32"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SampleFormatError,
+                               match=f"^{role} cloud: normalized coordinates "
+                                     "overflow float32"):
+                predict_denormalized(state, clouds["surface"],
+                                     clouds["volume"])
 
 
 class TestCheckpoint:

@@ -5,12 +5,13 @@ checkpoint tensors are float32, and with "f64" they are float64."""
 import numpy as np
 import pytest
 
+from aerosurrogate.autodiff import Tensor
 from aerosurrogate.datagen import DatasetSpec, generate_records
 from aerosurrogate.model import (ModelConfig, forward_graph, init_model,
                                  load_checkpoint, save_checkpoint)
 from aerosurrogate.pointcloud import compute_stats, normalize
 from aerosurrogate.training import (AdamState, LossWeights, TrainConfig,
-                                    _loss_graph, _wrap_params, train_step)
+                                    _loss_graph, loss_and_grads, train_step)
 
 PRECISIONS = [("f32", np.float32), ("f64", np.float64)]
 
@@ -34,15 +35,21 @@ def test_outputs_loss_and_every_gradient(records, precision, dtype):
     stats, normed = records
     state = make_state(precision, stats)
     rec = normed[0]
-    for params_t in (None, _wrap_params(state)):
+    tracked = {name: Tensor(arr, requires_grad=True)
+               for name, arr in state.params.items()}
+    for params_t in (None, tracked):
         outs = forward_graph(state, rec.surface, rec.volume, params_t)
         assert [o.value.dtype for o in outs] == [dtype] * 3
         loss, _ = _loss_graph(state, rec, LossWeights(), params_t)
         assert loss.value.dtype == dtype
+    # the loss reaches every parameter
     loss.backward()
-    assert len(params_t) == 52
-    for name, t in params_t.items():
-        assert t.grad is not None and t.grad.dtype == dtype, name
+    for name, t in tracked.items():
+        assert t.grad is not None, name
+    _, grads = loss_and_grads(state, rec, LossWeights())
+    assert list(grads) == list(state.params) and len(grads) == 52
+    for name, g in grads.items():
+        assert g.dtype == dtype, name
 
 
 @pytest.mark.parametrize("precision,dtype", PRECISIONS)

@@ -10,8 +10,8 @@ from aerosurrogate.model import (ModelConfig, forward_graph, init_model,
 from aerosurrogate.pointcloud import normalize
 from aerosurrogate.training import (
     AdamState, DegenerateTargetError, GradCheckReport, LossWeights,
-    TrainConfig, adam_step, composite_loss_t, grad_check, relative_l2, train,
-    write_loss_csv)
+    TrainConfig, adam_step, composite_loss_t, grad_check, loss_and_grads,
+    relative_l2, train, train_step, write_loss_csv)
 from tests.test_pointcloud import make_record
 
 
@@ -280,6 +280,47 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train([], tiny_model_config(), TrainConfig(epochs=1))
 
+    def test_epoch_cut_by_max_steps_averages_the_steps_that_ran(self):
+        res = train(tiny_dataset(4), tiny_model_config(),
+                    TrainConfig(epochs=3, seed=2), max_steps=2)
+        assert len(res.log_rows) == 2
+        first, second = (row["loss_total"] for row in res.log_rows)
+        assert res.epoch_losses == [(first + second) / 2]
+
+
+class TestLossAndGrads:
+    def make(self, precision):
+        return init_model(tiny_model_config(precision=precision)), \
+            tiny_dataset(1)[0]
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_every_parameter_in_order_and_params_untouched(self, precision):
+        state, rec = self.make(precision)
+        before = {k: v.copy() for k, v in state.params.items()}
+        components, grads = loss_and_grads(state, rec, LossWeights())
+        assert list(grads) == list(state.params)
+        for name, g in grads.items():
+            assert g.shape == state.params[name].shape, name
+            assert g.dtype == state.params[name].dtype, name
+            np.testing.assert_array_equal(state.params[name], before[name])
+        loss, parts = composite_loss_t(
+            *forward_graph(state, rec.surface, rec.volume), rec, LossWeights())
+        assert components == {**parts, "loss_total": float(loss.value)}
+
+    def test_train_step_steps_on_its_gradients(self):
+        state, rec = self.make("f64")
+        config = TrainConfig(seed=1)
+        copy = init_model(state.config)
+        moments, copy_moments = (AdamState.fresh(state.params),
+                                 AdamState.fresh(copy.params))
+        components, grads = loss_and_grads(copy, rec, LossWeights())
+        adam_step(copy.params, grads, copy_moments, config)
+        assert train_step(state, rec, LossWeights(), moments,
+                          config) == components
+        for name in state.params:
+            np.testing.assert_array_equal(state.params[name],
+                                          copy.params[name])
+
 
 class TestGradCheck:
     def test_default_passes(self):
@@ -294,3 +335,19 @@ class TestGradCheck:
     def test_infinite_tolerance_passes(self):
         report = grad_check(tolerance=math.inf)
         assert report.passed
+
+    @pytest.mark.parametrize("seed", [1234, 0, 1, 7, 99])
+    def test_seeds_agree_to_1e_6(self, seed):
+        assert grad_check(seed=seed).max_rel_error <= 1e-6
+
+    def test_broken_backward_term_fails(self, monkeypatch):
+        # the check differentiates through the block's hand-derived
+        # backward, which training steps on: a 0.1% error there fails it
+        from aerosurrogate import physatt
+        exact = physatt._gelu_grad
+        monkeypatch.setattr(physatt, "_gelu_grad",
+                            lambda *a: exact(*a) * 1.001)
+        report = grad_check()
+        assert not report.passed
+        assert max(report.per_tensor, key=report.per_tensor.get) \
+            .startswith("layers.0.")
