@@ -40,7 +40,7 @@ DEFAULTS = {
               "lambda_cd": 0.1, "max_steps": 0},
     "predict": {},
     "evaluate": {},
-    "grad-check": {"seed": 1234},
+    "grad-check": {"seed": 1234, "tolerance": 1e-5},
 }
 _KNOWN_KEYS = set().union(*DEFAULTS.values())
 
@@ -195,10 +195,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    if not args.tolerance > 0:
+    cfg = _resolve(args)
+    if not cfg["tolerance"] > 0:
         raise ConfigError(f"tolerance must be positive, "
-                          f"got {args.tolerance:g}")
-    report = grad_check(tolerance=args.tolerance, seed=_resolve(args)["seed"])
+                          f"got {cfg['tolerance']:g}")
+    report = grad_check(tolerance=cfg["tolerance"], seed=cfg["seed"])
     print(f"max relative gradient error: {report.max_rel_error:.3e} "
           f"(tolerance {report.tolerance:g})")
     if not report.passed:
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "grad-check", cmd_grad_check,
                      "finite-difference gradient check")
-    p.add_argument("--tolerance", type=float, default=1e-5)
+    p.add_argument("--tolerance", type=float, default=None)
 
     return parser
 

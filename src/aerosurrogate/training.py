@@ -124,9 +124,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     t = moments.t
     b1, b2 = config.beta1, config.beta2
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
+        g = grads[name]
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for tensor {name!r}")
         g = g.astype(p.dtype, copy=False)

@@ -460,6 +460,36 @@ class TestGradCheck:
         assert out == ""
         assert err == f"error: tolerance must be positive, got {tolerance}\n"
 
+    def test_config_file_sets_tolerance(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"tolerance": 1e-30}))
+        code, _, err = run(["grad-check", "--config", str(cfg_path)], capsys)
+        assert code == 1
+        assert "FAIL" in err
+        # the flag still wins over the file
+        code, out, _ = run(["grad-check", "--config", str(cfg_path),
+                            "--tolerance", "1e-5"], capsys)
+        assert code == 0
+        assert "(tolerance 1e-05)" in out
+
+    @pytest.mark.parametrize("tolerance", [0, -1e-3])
+    def test_non_positive_tolerance_in_config_is_usage_error(
+            self, tmp_path, capsys, monkeypatch, tolerance):
+        def must_not_run(**kw):
+            raise AssertionError("grad_check ran")
+        monkeypatch.setattr("aerosurrogate.cli.grad_check", must_not_run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"tolerance": tolerance}))
+        code, _, err = run(["grad-check", "--config", str(cfg_path)], capsys)
+        assert code == 2
+        assert err == f"error: tolerance must be positive, got {tolerance:g}\n"
+
+    def test_print_config_shows_tolerance(self, capsys):
+        code, out, _ = run(["grad-check", "--print-config"], capsys)
+        assert code == 0
+        printed = json.loads(out[:out.index("}") + 1])
+        assert printed == {"seed": 1234, "tolerance": 1e-5}
+
 
 class TestConfigHandling:
     def test_print_config(self, tmp_path, capsys):

@@ -176,6 +176,11 @@ class TestAdam:
             adam_step(params, {"w": np.zeros(1), "b": np.array([np.nan, 0.0])},
                       moments, cfg)
 
+    def test_missing_gradient_raises(self):
+        params, moments, cfg = self.make()
+        with pytest.raises(KeyError, match="'b'"):
+            adam_step(params, {"w": np.ones(1)}, moments, cfg)
+
     def test_hand_computed_second_step(self):
         params, moments, cfg = self.make()
         g = {"w": np.array([0.5]), "b": np.zeros(2)}
