@@ -8,18 +8,26 @@ A sample lives in one directory:
     velocity.txt  N_v rows of "vx vy vz"
     cd.txt        one drag coefficient
 
-C_u counts extra per-point feature columns and must be 0: the model reads
-positions and normals only. Every file is one row per line; blank lines
-are skipped on reading, and a malformed value is reported as
-`file:line`. All decimals are written with 17 significant digits (%.17g)
-so float64 values round-trip bit-exactly. A prediction directory holds
-the same three target files (pressure.txt, velocity.txt, cd.txt). A
-dataset root holds manifest.json listing the sample directories.
+N_s and N_v are at least 1. C_u counts extra per-point feature columns
+and must be 0: the model reads positions and normals only. Every file is
+UTF-8 text, one row per line; blank lines are skipped on reading, and a
+malformed value is reported as `file:line`. A file is read once;
+np.loadtxt's C parser reads its rows, and where it might read them
+differently from the per-line parser (non-ASCII text, a line break
+str.splitlines knows and loadtxt does not, a token loadtxt rejects, a
+non-finite value or the wrong shape), the per-line parser reads the text
+again and has the last word. All decimals are written with 17
+significant digits (%.17g), each file's rows by one `%` operation, so
+float64 values round-trip bit-exactly. A prediction directory holds the
+same three target files (pressure.txt, velocity.txt, cd.txt). A dataset
+root holds manifest.json listing the sample directories.
 """
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+import io
 import json
+import warnings
 
 import numpy as np
 
@@ -208,22 +216,49 @@ def normalize(record: SampleRecord, stats: NormalizationStats) -> SampleRecord:
 # file I/O
 
 
-def _read_lines(path: Path) -> list[str]:
+# str.splitlines() ends a line at these, np.loadtxt reads them as spaces
+_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+
+
+def _read_text(path: Path) -> str:
     if not path.is_file():
         raise SampleFormatError(f"missing file: {path}")
-    return path.read_text().splitlines()
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise SampleFormatError(f"{path}: not UTF-8: {e}") from None
 
 
-def _read_rows(path: Path, n: int, width: int, lines: list[str] | None = None,
-               start: int = 0) -> np.ndarray:
+def _read_rows(path: Path, n: int, width: int, text: str | None = None,
+               skip: int = 0) -> np.ndarray:
     """Parse a sample file as an (n, width) array of finite floats.
 
-    Blank lines are skipped; errors name the line's number in the file. A
-    caller that has read the file already passes its `lines` and the index
-    of the first body line.
+    A caller that has read the file already passes its `text` and the
+    number of header lines to `skip`. np.loadtxt's C parser reads the
+    rows; its array is kept only where the per-line parser would return
+    the same one. In every other case that parser reads the text again
+    and returns its own array or raises its `file:line` error.
     """
-    if lines is None:
-        lines = _read_lines(path)
+    if text is None:
+        text = _read_text(path)
+    if text.isascii() and not any(c in text for c in _LINE_BREAKS):
+        try:
+            with warnings.catch_warnings():     # a body with no rows warns
+                warnings.simplefilter("ignore")
+                arr = np.loadtxt(io.StringIO(text), dtype=np.float64,
+                                 comments=None, ndmin=2, skiprows=skip)
+        except ValueError:
+            pass
+        else:
+            if arr.shape == (n, width) and np.isfinite(arr).all():
+                return arr
+    return _parse_lines(path, text.splitlines(), n, width, skip)
+
+
+def _parse_lines(path: Path, lines: list[str], n: int, width: int,
+                 start: int) -> np.ndarray:
+    """`_read_rows` one line at a time: blank lines are skipped, and an
+    error names the line's number in the file."""
     body = [i for i in range(start, len(lines)) if lines[i].strip()]
     if len(body) != n:
         raise SampleFormatError(f"{path}: expected {n} rows, got {len(body)}")
@@ -246,31 +281,38 @@ def _read_rows(path: Path, n: int, width: int, lines: list[str] | None = None,
 
 
 def _write_rows(path: Path, rows, header: str | None = None) -> None:
-    """Write a 2-D array one row per line with %.17g values."""
+    """Write a 2-D array one row per line with %.17g values, the whole
+    body formatted by one `%`."""
     rows = np.asarray(rows, dtype=np.float64)
-    fmt = " ".join(["%.17g"] * rows.shape[1])
+    n, width = rows.shape
     lines = [] if header is None else [header]
-    lines += [fmt % tuple(row.tolist()) for row in rows]
+    if n:
+        row_fmt = " ".join(["%.17g"] * width)
+        lines.append("\n".join([row_fmt] * n) % tuple(rows.ravel().tolist()))
     path.write_text("\n".join(lines) + "\n")
 
 
 def _load_cloud(path: Path, role: str) -> PointCloud:
-    lines = _read_lines(path)
-    if not lines:
+    text = _read_text(path)
+    if not text:
         raise SampleFormatError(f"{path}:1: empty file")
-    header = lines[0].split()
+    # the first line of text.splitlines() ends at or before the first "\n"
+    first = text.partition("\n")[0].splitlines()
+    header = first[0].split() if first else []
     if len(header) != 3:
         raise SampleFormatError(f"{path}:1: header must be 'N C_u has_normals'")
     try:
         n, c_u, has_normals = int(header[0]), int(header[1]), int(header[2])
     except ValueError:
         raise SampleFormatError(f"{path}:1: non-integer header field") from None
+    if n < 1:
+        raise SampleFormatError(f"{path}:1: N must be >= 1, got {n}")
     if has_normals not in (0, 1):
         raise SampleFormatError(f"{path}:1: has_normals must be 0 or 1")
     if c_u != 0:
         raise SampleFormatError(
             f"{path}:1: C_u must be 0 (feature columns are not read)")
-    arr = _read_rows(path, n, 3 + 3 * has_normals, lines, start=1)
+    arr = _read_rows(path, n, 3 + 3 * has_normals, text, skip=1)
     with np.errstate(over="ignore"):    # a squared distance reaches |2p|^2
         overflow = ~np.isfinite(((2.0 * arr[:, :3]) ** 2).sum(axis=1))
     if overflow.any():

@@ -125,6 +125,18 @@ class TestSample:
         assert code == 1
         assert err.startswith(f"error: {surface}")
 
+    @pytest.mark.parametrize("name", ["surface.txt", "pressure.txt"])
+    def test_non_utf8_file_is_runtime_error_naming_it(self, tmp_path, capsys,
+                                                      name):
+        data = gen(tmp_path, n=1, n_surface=24)
+        sample_dir = data / read_manifest(data)["samples"][0]
+        path = sample_dir / name
+        path.write_bytes(path.read_bytes() + b"\xff")
+        code, _, err = run(["sample", "--n", "8", "--in", str(sample_dir),
+                            "--out", str(tmp_path / "reduced")], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {path}: not UTF-8: ")
+
     @pytest.mark.parametrize("name", ["surface.txt", "volume.txt"])
     def test_feature_columns_are_runtime_error(self, tmp_path, capsys, name):
         data = gen(tmp_path, n=1, n_surface=24)

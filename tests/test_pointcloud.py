@@ -1,11 +1,50 @@
 import numpy as np
 import pytest
 
+from aerosurrogate import pointcloud
 from aerosurrogate.pointcloud import (
     PointCloud, SampleRecord, NormalizationStats, SampleFormatError,
     load_sample, save_sample, normalize, compute_stats,
-    write_manifest, read_manifest, split_of)
+    write_manifest, read_manifest, split_of, _read_rows, _write_rows)
 from aerosurrogate.rng import SplitMix64
+
+
+def oracle_read_rows(path, n, width, lines=None, start=0):
+    """Per-line reference reader: str.splitlines, str.split and float on
+    each token. Blank lines are skipped; errors name the line's number in
+    the file."""
+    if lines is None:
+        if not path.is_file():
+            raise SampleFormatError(f"missing file: {path}")
+        lines = path.read_text(encoding="utf-8").splitlines()
+    body = [i for i in range(start, len(lines)) if lines[i].strip()]
+    if len(body) != n:
+        raise SampleFormatError(f"{path}: expected {n} rows, got {len(body)}")
+    rows = []
+    for i in body:
+        parts = lines[i].split()
+        if len(parts) != width:
+            raise SampleFormatError(
+                f"{path}:{i + 1}: expected {width} values, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as e:
+            raise SampleFormatError(f"{path}:{i + 1}: {e}") from None
+    arr = np.array(rows, dtype=np.float64).reshape(n, width)
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        lineno = body[int(np.argmin(finite))] + 1
+        raise SampleFormatError(f"{path}:{lineno}: non-finite value")
+    return arr
+
+
+def oracle_write_rows(path, rows, header=None):
+    """Reference writer: one `%` per row, %.17g values."""
+    rows = np.asarray(rows, dtype=np.float64)
+    fmt = " ".join(["%.17g"] * rows.shape[1])
+    lines = [] if header is None else [header]
+    lines += [fmt % tuple(row.tolist()) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def make_record(n_s=4, n_v=2, seed=0, drag=0.3):
@@ -202,11 +241,203 @@ class TestFileIO:
         with pytest.raises(SampleFormatError, match=f"{name}:1: C_u must be 0"):
             load_sample(tmp_path / "s0")
 
+    @pytest.mark.parametrize("name,header", [
+        ("surface.txt", "-3 0 1"), ("surface.txt", "0 0 1"),
+        ("volume.txt", "0 0 0")])
+    def test_non_positive_point_count_is_header_error(self, tmp_path, name,
+                                                      header):
+        save_sample(make_record(), tmp_path / "s0")
+        path = tmp_path / "s0" / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([header] + lines[1:]) + "\n")
+        with pytest.raises(SampleFormatError,
+                           match=f"{name}:1: N must be >= 1"):
+            load_sample(tmp_path / "s0")
+
+    @pytest.mark.parametrize("name", ["surface.txt", "pressure.txt", "cd.txt"])
+    def test_non_utf8_file_is_format_error_naming_it(self, tmp_path, name):
+        save_sample(make_record(), tmp_path / "s0")
+        path = tmp_path / "s0" / name
+        path.write_bytes(path.read_bytes() + b"\xff")
+        with pytest.raises(SampleFormatError, match=f"{name}: not UTF-8: "):
+            load_sample(tmp_path / "s0")
+
     def test_zero_feature_sample(self, tmp_path):
         rec = make_record()
         save_sample(rec, tmp_path / "s0")
         header = (tmp_path / "s0" / "surface.txt").read_text().splitlines()[0]
         assert header.split()[1] == "0"   # C_u=0: no feature columns written
+
+
+# Characters at which str.splitlines() ends a line.
+SPLITS_LINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                "\u2029"]
+
+PARITY_CASES = [
+    # line endings and separators
+    ("crlf", "1 2 3\r\n4 5 6\r\n", 2, 3),
+    ("bare-cr", "1 2 3\r4 5 6\r", 2, 3),
+    ("tabs", "1\t2\t3\n4\t5\t6\n", 2, 3),
+    ("trailing-spaces", "1 2 3   \n4 5 6 \t\n", 2, 3),
+    ("blank-lines", "\n1 2 3\n\n   \n\t\n4 5 6\n\n", 2, 3),
+    ("blank-lines-then-bad-token", "\n \n1 2 3\n\n4 x 6\n", 2, 3),
+    ("no-final-newline", "1 2 3\n4 5 6", 2, 3),
+    ("only-blank-lines", "\n \n\t\n", 1, 3),
+    ("empty", "", 1, 1),
+    ("unit-separator", "1\x1f2 3\n", 1, 3),
+    ("no-break-space", "1\xa02 3\n", 1, 3),
+    ("nul", "1\x002 3\n", 1, 3),
+    # tokens Python's float reads differently from np.loadtxt
+    ("underscore", "1_0 2 3\n", 1, 3),
+    ("arabic-indic-digits", "\u0661 \u0662.\u0665 \u0663\n", 1, 3),
+    ("hex-float", "0x1p3 2 3\n", 1, 3),
+    # special values
+    ("nan", "1 nan 3\n", 1, 3),
+    ("nan-second-row", "1 2 3\n4 NaN 6\n", 2, 3),
+    ("inf", "inf 2 3\n", 1, 3),
+    ("infinity", "1 2 -infinity\n", 1, 3),
+    ("overflow", "1e400 2 3\n", 1, 3),
+    ("underflow", "1e-400 -1e-400 3\n", 1, 3),
+    # malformed rows
+    ("short-row", "1 2 3\n4 5\n", 2, 3),
+    ("long-row", "1 2 3 4\n5 6 7\n", 2, 3),
+    ("commas", "1,2,3\n", 1, 3),
+    ("trailing-comment", "1 2 3 # c\n", 1, 3),
+    ("too-few-rows", "1 2 3\n", 2, 3),
+    ("too-many-rows", "1 2 3\n4 5 6\n", 1, 3),
+    # shapes
+    ("cd", "0.29999999999999999\n", 1, 1),
+    ("cd-between-blank-lines", "\n0.3\n\n", 1, 1),
+    ("cd-two-values", "0.3 0.4\n", 1, 1),
+    ("one-row", "1 2 3\n", 1, 3),
+] + [case for i, c in enumerate(SPLITS_LINES) for case in (
+    (f"split{i}-inside-row", f"1 2 3{c}4 5 6\n", 2, 3),
+    (f"split{i}-inside-wide-row", f"1 2 3{c}4 5 6\n", 1, 6),
+    (f"split{i}-own-line", f"1 2 3\n{c}\n4 5 6\n", 2, 3),
+    (f"split{i}-own-line-then-bad-token", f"1 2 3\n{c}\n4 x 6\n", 2, 3),
+)]
+
+
+def outcome(read):
+    """("rows", bytes, shape) for an array, ("error", message) for a
+    SampleFormatError."""
+    try:
+        arr = read()
+    except SampleFormatError as e:
+        return ("error", str(e))
+    return ("rows", arr.tobytes(), arr.shape)
+
+
+def assert_same_read(path, n, width, skip):
+    """The reader and the per-line oracle raise the same message or return
+    byte-equal arrays; with `skip=1` the file's first line is a header."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    want = outcome(lambda: oracle_read_rows(path, n, width, lines, skip))
+    if skip:
+        got = outcome(lambda: _read_rows(
+            path, n, width, pointcloud._read_text(path), skip=skip))
+    else:
+        got = outcome(lambda: _read_rows(path, n, width))
+    assert got == want
+
+
+def awkward_doubles():
+    """Random bit patterns plus subnormals, signed zeros and the ends of
+    the float64 range, shaped (-1, 3)."""
+    rng = np.random.default_rng(15)
+    bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64)
+    x = bits.view(np.float64)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.225073858507201e-308,
+               2.2250738585072014e-308, 1.7e308, -1.7e308,
+               1.7976931348623157e308, 1.0 / 3.0, 0.1, 1e22, -1.0]
+    x = np.concatenate([x[np.isfinite(x)], special,
+                        rng.uniform(-1.0, 1.0, 100)])
+    return x[: len(x) // 3 * 3].reshape(-1, 3)
+
+
+class TestReaderParity:
+    """The loadtxt fast path with its fallback accepts and rejects exactly
+    what the per-line reader does, with the same values and messages."""
+
+    @pytest.mark.parametrize("skip", [0, 1])
+    @pytest.mark.parametrize("name,text,n,width", PARITY_CASES,
+                             ids=[c[0] for c in PARITY_CASES])
+    def test_same_result_as_oracle(self, tmp_path, name, text, n, width,
+                                   skip):
+        path = tmp_path / "rows.txt"
+        path.write_bytes((("2 0 0\n" if skip else "") + text).encode())
+        assert_same_read(path, n, width, skip)
+
+    @pytest.mark.parametrize("fmt", ["%.17g", "%.25g", "repr", "%.3e"])
+    def test_round_trip_matches_oracle(self, tmp_path, fmt):
+        x = awkward_doubles()
+        show = repr if fmt == "repr" else (lambda v: fmt % v)
+        path = tmp_path / "rows.txt"
+        path.write_text("".join(" ".join(show(v) for v in row.tolist()) + "\n"
+                                for row in x))
+        assert_same_read(path, x.shape[0], 3, 0)
+        if fmt in ("%.17g", "repr"):
+            assert _read_rows(path, x.shape[0], 3).tobytes() == x.tobytes()
+
+    def test_sample_files_take_the_fast_path(self, tmp_path, monkeypatch):
+        save_sample(make_record(n_s=40, n_v=30), tmp_path / "s0")
+        want = load_sample(tmp_path / "s0")
+        velocity = tmp_path / "s0" / "velocity.txt"
+        rows = velocity.read_text().splitlines()
+        velocity.write_bytes(("\r\n\r\n".join(rows) + "\r\n \n").encode())
+
+        def refuse(*args):
+            raise AssertionError("per-line parser ran")
+        monkeypatch.setattr(pointcloud, "_parse_lines", refuse)
+        got = load_sample(tmp_path / "s0")
+        assert got.velocity.tobytes() == want.velocity.tobytes()
+        assert got.surface.normals.tobytes() == want.surface.normals.tobytes()
+
+    @pytest.mark.parametrize("text", ["1 2 3\x0c4 5 6\n", "1 2 nan\n",
+                                      "1_0 2 3\n", "1 2\n"])
+    def test_fallback_reads_what_the_fast_path_refuses(self, tmp_path,
+                                                       monkeypatch, text):
+        calls = []
+        parse = pointcloud._parse_lines
+        monkeypatch.setattr(pointcloud, "_parse_lines",
+                            lambda *a: calls.append(a) or parse(*a))
+        path = tmp_path / "rows.txt"
+        path.write_text(text)
+        outcome(lambda: _read_rows(path, 1, 3))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("text,want", [
+        ("2 0 0\r\n1 2 3\r\n4 5 6\r\n", [[1, 2, 3], [4, 5, 6]]),
+        ("2 0 0\x0c1 2 3\n4 5 6\n", [[1, 2, 3], [4, 5, 6]]),
+        ("2 0 0\u20281 2 3\n\n4 5 6", [[1, 2, 3], [4, 5, 6]]),
+        ("\n2 0 0\n1 2 3\n4 5 6\n", "volume.txt:1: header must be"),
+        ("\x0c2 0 0\n1 2 3\n4 5 6\n", "volume.txt:1: header must be"),
+    ])
+    def test_header_is_the_first_line_splitlines_sees(self, tmp_path, text,
+                                                       want):
+        path = tmp_path / "volume.txt"
+        path.write_bytes(text.encode())
+        if isinstance(want, str):
+            with pytest.raises(SampleFormatError, match=want):
+                pointcloud._load_cloud(path, "volume")
+        else:
+            cloud = pointcloud._load_cloud(path, "volume")
+            assert cloud.positions.tolist() == want
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("header", [None, "7 0 1"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 1025])
+    @pytest.mark.parametrize("width", [1, 3, 6])
+    def test_same_bytes_as_oracle(self, tmp_path, width, n, header):
+        values = np.array([-0.0, 1e-300, 1e22, 1.0 / 3.0, 0.1, -7.0, 5e-324])
+        rng = np.random.default_rng(width * 10_000 + n)
+        rows = np.concatenate([values, rng.normal(size=n * width)])
+        rows = rows[: n * width].reshape(n, width)
+        _write_rows(tmp_path / "new.txt", rows, header)
+        oracle_write_rows(tmp_path / "old.txt", rows, header)
+        assert (tmp_path / "new.txt").read_bytes() == \
+            (tmp_path / "old.txt").read_bytes()
 
 
 class TestNormalization:
