@@ -56,8 +56,8 @@ def _load_config(path: str | None) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+        cfg = json.loads(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"{p}: invalid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{p}: config must be a JSON object")

@@ -10,6 +10,8 @@ produces all three predictions.
 from dataclasses import asdict, dataclass
 from pathlib import Path
 import json
+import math
+import zlib
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .pointcloud import (NormalizationStats, PointCloud, SampleFormatError,
 from .rng import SplitMix64
 
 CHECKPOINT_MAGIC = b"PASURF01"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _ALIGN = 64
 
 
@@ -40,12 +42,13 @@ class ModelConfig:
     precision: str = "f32"      # f32 | f64
 
     def __post_init__(self):
-        if min(self.layers, self.channels, self.slices, self.heads) < 1:
-            raise ValueError("layers/channels/slices/heads must be positive")
+        sizes = (self.layers, self.channels, self.slices, self.heads)
+        if any(type(v) is not int or v < 1 for v in sizes):
+            raise ValueError("layers/channels/slices/heads must be positive integers")
         if self.channels % self.heads != 0:
             raise ValueError(
                 f"channels {self.channels} must be divisible by heads {self.heads}")
-        if self.geom_width not in (3, 6):
+        if type(self.geom_width) is not int or self.geom_width not in (3, 6):
             raise ValueError("geom_width must be 3 (coords) or 6 (coords+normals)")
         if self.precision not in ("f32", "f64"):
             raise ValueError("precision must be f32 or f64")
@@ -59,8 +62,8 @@ class ModelConfig:
 class ModelState:
     """All trainable parameters plus normalization stats and config.
 
-    params maps dotted names to ndarrays; insertion order is the canonical
-    checkpoint order. Layer i's fields are the entries "layers.{i}.<field>".
+    params maps dotted names to ndarrays, in _layout order. Layer i's
+    fields are the entries "layers.{i}.<field>".
     """
 
     config: ModelConfig
@@ -79,9 +82,10 @@ class Prediction:
 
 
 def _layout(config: ModelConfig) -> dict[str, Slot]:
-    """The Slot of every parameter, in checkpoint order, which is also the
-    order init_model draws them in. Each layer's FFN is 2C wide and each
-    head's hidden layer C wide."""
+    """The Slot of every parameter, in the order init_model draws them in
+    and a checkpoint stores them. A checkpoint names no tensor, so this
+    order is part of its format: a reorder needs a version bump. Each
+    layer's FFN is 2C wide and each head's hidden layer C wide."""
     c = config.channels
     w = config.geom_width + 1           # +1 is the surface/volume role flag
     slots = {"embedding.w": Slot((w, c), w), "embedding.b": Slot((c,))}
@@ -209,83 +213,73 @@ def predict_denormalized(state: ModelState, surface: PointCloud,
 
 
 def save_checkpoint(state: ModelState, path) -> None:
-    """Binary checkpoint: magic, JSON header line, zero padding to 64-byte
-    alignment, then raw little-endian tensor blobs in table order."""
-    tensors = []
+    """Binary checkpoint: magic, a JSON header line of version, config and
+    stats, zero padding to 64-byte alignment, every parameter in _layout
+    order as little-endian values of the config's dtype, then a CRC-32 of
+    all preceding bytes (4 bytes, little-endian). The file names no
+    tensor, so _layout's order is part of the format: a reorder needs a
+    version bump (test_init_values_and_order_pinned guards it). A
+    parameter that differs from its slot is a ValueError naming it."""
+    layout, dtype = _layout(state.config), np.dtype(state.config.dtype)
+    if state.params.keys() != layout.keys():
+        raise ValueError(f"parameters {sorted(state.params.keys() ^ layout.keys())}"
+                         " differ from the config's layout")
     blobs = []
-    offset = 0
-    for name, arr in state.params.items():
-        a = np.asarray(arr)
-        # ascontiguousarray promotes 0-d to 1-d, so record the shape first
-        blob = np.ascontiguousarray(a).astype(a.dtype.newbyteorder("<")).tobytes()
-        tensors.append({"name": name, "offset": offset,
-                        "shape": list(a.shape), "dtype": str(a.dtype)})
-        blobs.append(blob)
-        offset += len(blob)
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "config": asdict(state.config),
-        "stats": state.stats.to_dict(),
-        "tensors": tensors,
-    }
-    head_bytes = json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
-    pre = len(CHECKPOINT_MAGIC) + len(head_bytes)
-    pad = (-pre) % _ALIGN
-    data = CHECKPOINT_MAGIC + head_bytes + b"\x00" * pad + b"".join(blobs)
-    Path(path).write_bytes(data)
-
-
-def _read_header(data: bytes, path) -> tuple[ModelConfig, NormalizationStats,
-                                             list[tuple], int]:
-    """Decode and validate the JSON header; every failure is a
-    CheckpointError. Returns the config, the stats, the tensor table as
-    (name, shape, dtype, offset) tuples, and where the blobs start."""
-    try:
-        end = data.index(b"\n", 8)
-    except ValueError:
-        raise CheckpointError(f"{path}: truncated header") from None
-    try:
-        header = json.loads(data[8:end].decode("ascii"))
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported version {header.get('version')}")
-        config = ModelConfig(**header["config"])
-        stats = NormalizationStats(**header["stats"])
-        table = [(str(e["name"]), tuple(int(d) for d in e["shape"]),
-                  np.dtype(e["dtype"]), int(e["offset"]))
-                 for e in header["tensors"]]
-    except CheckpointError:
-        raise
-    except (ValueError, TypeError, KeyError, AttributeError) as e:
-        raise CheckpointError(f"{path}: bad header: {e!r}") from e
-    return config, stats, table, end + 1 + ((-(end + 1)) % _ALIGN)
+    for name, slot in layout.items():
+        a = np.asarray(state.params[name])
+        if a.shape != slot.shape or a.dtype != dtype:
+            raise ValueError(f"parameter {name}: {a.dtype} {a.shape} differs "
+                             f"from its slot, {dtype} {slot.shape}")
+        blobs.append(a.astype(dtype.newbyteorder("<")).tobytes())
+    header = {"version": CHECKPOINT_VERSION, "config": asdict(state.config),
+              "stats": state.stats.to_dict()}
+    head = CHECKPOINT_MAGIC + json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
+    data = head + b"\0" * (-len(head) % _ALIGN) + b"".join(blobs)
+    Path(path).write_bytes(data + zlib.crc32(data).to_bytes(4, "little"))
 
 
 def load_checkpoint(path) -> ModelState:
+    """Read a save_checkpoint file. Checked in this order, each failure a
+    CheckpointError naming the file: magic, header, exact size, CRC, every
+    parameter finite, and each layer's |log_tau| below log(dtype max), so
+    that tau = exp(log_tau) and 1/tau are finite."""
     data = Path(path).read_bytes()
     if data[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {data[:8]!r}")
-    config, stats, table, blob_start = _read_header(data, path)
-
-    expected = {name: slot.shape for name, slot in _layout(config).items()}
-    loaded: dict[str, np.ndarray] = {}
-    for name, shape, dt, offset in table:
-        count = int(np.prod(shape)) if shape else 1
-        lo = blob_start + offset
-        hi = lo + count * dt.itemsize
-        if offset < 0 or hi > len(data):
-            raise CheckpointError(f"{path}: truncated blob for tensor {name}")
-        if name not in expected:
-            raise CheckpointError(f"{path}: unknown tensor {name}")
-        if shape != expected[name]:
+    end = data.find(b"\n", 8)
+    if end < 0:
+        raise CheckpointError(f"{path}: truncated header")
+    try:
+        header = json.loads(data[8:end].decode("ascii"))
+        version = header.get("version")
+        if version == CHECKPOINT_VERSION:
+            config = ModelConfig(**header["config"])
+            stats = NormalizationStats(**header["stats"])
+    except (ValueError, TypeError, KeyError, AttributeError) as e:
+        raise CheckpointError(f"{path}: bad header: {e!r}") from e
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported version {version}")
+    layout, dtype = _layout(config), np.dtype(config.dtype)
+    start = end + 1 + (-(end + 1) % _ALIGN)
+    sizes = [math.prod(slot.shape) for slot in layout.values()]
+    size = start + sum(sizes) * dtype.itemsize + 4
+    if len(data) != size:
+        kind = "truncated" if len(data) < size else "trailing bytes"
+        raise CheckpointError(f"{path}: {kind}: {len(data)} bytes, not {size}")
+    if zlib.crc32(memoryview(data)[:-4]) != int.from_bytes(data[-4:], "little"):
+        raise CheckpointError(f"{path}: CRC mismatch, the file is corrupt")
+    flat = np.frombuffer(data, dtype.newbyteorder("<"), sum(sizes), start)
+    params = {}
+    for (name, slot), part in zip(layout.items(),
+                                  np.split(flat, np.cumsum(sizes)[:-1])):
+        params[name] = part.reshape(slot.shape).astype(dtype)
+        if not np.isfinite(params[name]).all():
+            raise CheckpointError(f"{path}: tensor {name} is not finite")
+    bound = math.log(np.finfo(dtype).max)
+    for li in range(config.layers):
+        log_tau = float(params[f"layers.{li}.log_tau"])
+        if abs(log_tau) >= bound:
             raise CheckpointError(
-                f"{path}: tensor {name} shape {shape} != config shape "
-                f"{expected[name]}")
-        if dt != config.dtype:
-            raise CheckpointError(
-                f"{path}: tensor {name} dtype {dt} != precision {config.precision}")
-        loaded[name] = np.frombuffer(data[lo:hi], dtype=dt).reshape(shape).copy()
-    missing = set(expected) - set(loaded)
-    if missing:
-        raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
-    return ModelState(config=config, stats=stats, params=loaded)
+                f"{path}: layers.{li}.log_tau {log_tau:g}: tau or 1/tau would "
+                f"overflow {dtype}, so |log_tau| must be below {bound:.6g}")
+    return ModelState(config=config, stats=stats, params=params)

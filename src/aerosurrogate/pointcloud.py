@@ -360,12 +360,17 @@ def load_sample(path) -> SampleRecord:
 
 
 def save_targets(path, pressure, velocity, drag: float) -> None:
-    """Write pressure.txt, velocity.txt and cd.txt into directory `path`."""
+    """Write pressure.txt, velocity.txt and cd.txt into directory `path`,
+    or, if any value is non-finite, nothing: the reader would reject it."""
     path = Path(path)
+    files = {"pressure.txt": np.reshape(pressure, (-1, 1)),
+             "velocity.txt": np.reshape(velocity, (-1, 3)), "cd.txt": [[drag]]}
+    for name, rows in files.items():
+        if not np.all(np.isfinite(rows)):
+            raise SampleFormatError(f"{path / name}: non-finite target value")
     path.mkdir(parents=True, exist_ok=True)
-    _write_rows(path / "pressure.txt", np.reshape(pressure, (-1, 1)))
-    _write_rows(path / "velocity.txt", np.reshape(velocity, (-1, 3)))
-    _write_rows(path / "cd.txt", [[drag]])
+    for name, rows in files.items():
+        _write_rows(path / name, rows)
 
 
 def save_sample(record: SampleRecord, path) -> None:

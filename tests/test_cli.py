@@ -415,21 +415,30 @@ class TestMalformedCheckpoint:
     def test_missing_stats(self, pipeline, tmp_path, capsys):
         path = tiny_checkpoint(tmp_path / "c.bin", edit=lambda h: {
             k: v for k, v in h.items() if k != "stats"})
-        self.check(pipeline, tmp_path, capsys, path, "stats")
+        self.check(pipeline, tmp_path, capsys, path,
+                   re.escape(f"{path}: bad header: KeyError('stats')"))
 
     def test_invalid_header_json(self, pipeline, tmp_path, capsys):
         path = tiny_checkpoint(tmp_path / "c.bin", raw_header=b"{not json")
         self.check(pipeline, tmp_path, capsys, path, "bad header")
 
-    def test_tensor_dtype_differs_from_precision(self, pipeline, tmp_path,
-                                                 capsys):
-        state = init_model(ModelConfig(layers=1, channels=4, slices=2, heads=1,
-                                       geom_width=6, precision="f32"))
-        state.params["embedding.b"] = state.params["embedding.b"].astype(
-            np.float64)
-        path = tiny_checkpoint(tmp_path / "c.bin", state=state)
+    @pytest.mark.parametrize("edit,kind", [
+        (lambda d: d[:-1], "truncated"), (lambda d: d + b"\0", "trailing bytes")],
+        ids=["one_byte_short", "one_byte_extra"])
+    def test_size_differs_from_config(self, pipeline, tmp_path, capsys, edit,
+                                      kind):
+        path = tiny_checkpoint(tmp_path / "c.bin")
+        size = len(path.read_bytes())
+        path.write_bytes(edit(path.read_bytes()))
+        got = len(path.read_bytes())
         self.check(pipeline, tmp_path, capsys, path,
-                   "embedding.b dtype float64 != precision f32")
+                   re.escape(f"{path}: {kind}: {got} bytes, not {size}"))
+
+    def test_version_1_refused_by_version(self, pipeline, tmp_path, capsys):
+        path = tiny_checkpoint(tmp_path / "c.bin", edit=lambda h: {
+            **h, "version": 1, "tensors": []})
+        self.check(pipeline, tmp_path, capsys, path,
+                   re.escape(f"{path}: unsupported version 1") + "$")
 
     @pytest.mark.parametrize("edit,match", [
         (lambda s: {**s, "bogus_stat": 0.0}, "unexpected .*'bogus_stat'"),
@@ -441,6 +450,18 @@ class TestMalformedCheckpoint:
             **h, "stats": edit(h["stats"])})
         self.check(pipeline, tmp_path, capsys, path, match)
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("channels", 4.0, "layers/channels/slices/heads must be positive integers"),
+        ("layers", True, "layers/channels/slices/heads must be positive integers"),
+        ("geom_width", 6.0, "geom_width must be 3")],
+        ids=["float_channels", "bool_layers", "float_geom_width"])
+    def test_non_integer_size_is_bad_header(self, pipeline, tmp_path, capsys,
+                                            key, value, match):
+        path = tiny_checkpoint(tmp_path / "c.bin", edit=lambda h: {
+            **h, "config": {**h["config"], key: value}})
+        self.check(pipeline, tmp_path, capsys, path,
+                   re.escape(f"{path}: bad header: ValueError('{match}"))
+
     @pytest.mark.parametrize("key", ["extra_width", "ffn_width", "head_hidden"])
     def test_removed_config_key_is_named(self, pipeline, tmp_path, capsys,
                                          key):
@@ -448,6 +469,72 @@ class TestMalformedCheckpoint:
         path = tiny_checkpoint(tmp_path / "c.bin", edit=lambda h: {
             **h, "config": {**h["config"], key: 0}})
         self.check(pipeline, tmp_path, capsys, path, key)
+
+
+class TestCorruptParameters:
+    """A checkpoint whose parameters are non-finite, or whose log_tau
+    overflows tau or 1/tau, is refused by name: predict and evaluate exit 1
+    with one error line, no traceback and no warning."""
+
+    @pytest.mark.parametrize("name,index,value", [
+        ("layers.0.w_q", (0, 0), np.nan),
+        ("head.drag.b2", (0,), np.inf),
+        ("layers.0.log_tau", (), 1000.0),
+        ("layers.0.log_tau", (), -1000.0),
+        ("layers.0.log_tau", (), 88.73),
+        ("layers.0.log_tau", (), -88.73),
+    ], ids=["nan_w_q", "inf_drag_b2", "log_tau_1000", "log_tau_-1000",
+            "log_tau_88.73", "log_tau_-88.73"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_refused_by_name(self, pipeline, tmp_path, capsys, command, name,
+                             index, value):
+        _, data, run_dir = pipeline
+        state = load_checkpoint(run_dir / "checkpoint_final.bin")
+        state.params[name][index] = value
+        path = tmp_path / "c.bin"
+        save_checkpoint(state, path)
+        sample_dir = data / read_manifest(data)["samples"][0]
+        argv = {"predict": ["--in", str(sample_dir)],
+                "evaluate": ["--data", str(data)]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run([command, "--checkpoint", str(path), *argv,
+                                  "--out", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert out == ""
+        reason = (f"{name} {value:g}: tau or 1/tau would overflow float32"
+                  if np.isfinite(value) else f"tensor {name} is not finite")
+        assert err.startswith(f"error: {path}: {reason}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_predict_overflowing_f32_writes_nothing(self, pipeline, tmp_path,
+                                                    capsys):
+        # finite weights whose pressure head overflows float32
+        _, data, run_dir = pipeline
+        state = load_checkpoint(run_dir / "checkpoint_final.bin")
+        for name in ("head.pressure.b1", "head.pressure.w2",
+                     "head.pressure.b2"):
+            state.params[name][...] = 3e38
+        save_checkpoint(state, tmp_path / "c.bin")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, _, err = run(["predict", "--checkpoint",
+                                str(tmp_path / "c.bin"), "--in",
+                                str(data / read_manifest(data)["samples"][0]),
+                                "--out", str(tmp_path / "pred")], capsys)
+        assert code == 1
+        assert err == (f"error: {tmp_path / 'pred' / 'pressure.txt'}: "
+                       "non-finite target value\n")
+        assert not (tmp_path / "pred").exists()
+
+    def test_log_tau_just_inside_bound_loads(self, pipeline, tmp_path):
+        _, _, run_dir = pipeline
+        state = load_checkpoint(run_dir / "checkpoint_final.bin")
+        state.params["layers.0.log_tau"][()] = np.float32(88.72)
+        save_checkpoint(state, tmp_path / "c.bin")
+        assert float(load_checkpoint(tmp_path / "c.bin").params[
+            "layers.0.log_tau"]) == float(np.float32(88.72))
 
 
 class TestGradCheck:
@@ -538,6 +625,15 @@ class TestConfigHandling:
         code = run(["gen-data", "--config", str(cfg_path),
                     "--out", str(tmp_path / "d")])
         assert code == 2
+
+    def test_non_utf8_config_names_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"seed": 1}\xff')
+        code, _, err = run(["gen-data", "--config", str(cfg_path),
+                            "--out", str(tmp_path / "d")], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {cfg_path}: invalid JSON: 'utf-8' "
+                              "codec can't decode byte 0xff")
 
     def test_missing_config_file_rejected(self, tmp_path):
         code = run(["gen-data", "--config", str(tmp_path / "absent.json"),

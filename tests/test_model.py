@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 import tracemalloc
 import warnings
 
@@ -237,16 +239,38 @@ class TestCheckpoint:
         data = bytearray(path.read_bytes())
         data[:8] = b"NOTMAGIC"
         path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match="magic"):
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"{path}: bad magic b'NOTMAGIC'")):
             load_checkpoint(path)
 
     def test_truncated(self, tmp_path):
         state = init_model(tiny_config())
         path = tmp_path / "m.bin"
         save_checkpoint(state, path)
+        size = len(path.read_bytes())
         path.write_bytes(path.read_bytes()[:-40])
-        with pytest.raises(CheckpointError, match="truncated"):
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: truncated: {size - 40} bytes, not {size}")):
             load_checkpoint(path)
+
+    def test_every_single_bit_flip_refused(self, tmp_path):
+        state = init_model(tiny_config(precision="f32"))
+        path = tmp_path / "m.bin"
+        save_checkpoint(state, path)
+        data = path.read_bytes()
+        for i in range(len(data)):
+            flipped = bytearray(data)
+            flipped[i] ^= 1 << (i % 8)
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointError, match=re.escape(f"{path}: ")):
+                load_checkpoint(path)
+
+    def test_header_holds_version_config_stats_only(self, tmp_path):
+        save_checkpoint(init_model(tiny_config()), tmp_path / "m.bin")
+        data = (tmp_path / "m.bin").read_bytes()
+        header = json.loads(data[8:data.index(b"\n")])
+        assert set(header) == {"version", "config", "stats"}
+        assert header["version"] == 2
 
     def test_stats_preserved(self, tmp_path):
         rec = generate_sample(ShapeSpec(2.0, 1.0, 0.7, n_surface=16,
@@ -295,12 +319,22 @@ class TestParameterLayout:
         for name, arr in state.params.items():
             np.testing.assert_array_equal(loaded.params[name], arr)
 
-    def test_shape_differing_from_layout_rejected(self, tmp_path):
+    @pytest.mark.parametrize("edit,match", [
+        (lambda p: p.update({"embedding.w": p["embedding.w"].reshape(4, 7)}),
+         r"^parameter embedding.w: float64 \(4, 7\) differs from its slot, "
+         r"float64 \(7, 4\)$"),
+        (lambda p: p.update({"embedding.b": p["embedding.b"].astype(np.float32)}),
+         r"^parameter embedding.b: float32 \(4,\) differs from its slot, "
+         r"float64 \(4,\)$"),
+        (lambda p: p.pop("head.drag.b2"),
+         r"^parameters \['head.drag.b2'\] differ from the config's layout$"),
+        (lambda p: p.update({"bogus": np.zeros(1)}),
+         r"^parameters \['bogus'\] differ from the config's layout$"),
+    ], ids=["shape", "dtype", "missing", "unknown"])
+    def test_save_refuses_parameters_differing_from_layout(self, tmp_path,
+                                                           edit, match):
         state = init_model(tiny_config())
-        assert state.params["embedding.w"].shape == (7, 4)
-        state.params["embedding.w"] = state.params["embedding.w"].reshape(4, 7)
-        save_checkpoint(state, tmp_path / "c.bin")
-        with pytest.raises(CheckpointError,
-                           match=r"embedding.w shape \(4, 7\) != config shape "
-                                 r"\(7, 4\)"):
-            load_checkpoint(tmp_path / "c.bin")
+        edit(state.params)
+        with pytest.raises(ValueError, match=match):
+            save_checkpoint(state, tmp_path / "c.bin")
+        assert not (tmp_path / "c.bin").exists()

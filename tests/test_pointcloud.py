@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from aerosurrogate import pointcloud
 from aerosurrogate.pointcloud import (
     PointCloud, SampleRecord, NormalizationStats, SampleFormatError,
-    load_sample, save_sample, normalize, compute_stats,
+    load_sample, save_sample, save_targets, normalize, compute_stats,
     write_manifest, read_manifest, split_of, _read_rows, _write_rows)
 from aerosurrogate.rng import SplitMix64
 
@@ -126,6 +128,20 @@ class TestFileIO:
         assert back.surface.n_points == 4
         assert back.volume.n_points == 2
         assert back.drag == 0.3
+
+    @pytest.mark.parametrize("name", ["pressure.txt", "velocity.txt",
+                                      "cd.txt"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_targets_refuses_non_finite(self, tmp_path, name, value):
+        targets = {"pressure.txt": np.zeros(3), "velocity.txt": np.zeros((2, 3)),
+                   "cd.txt": np.zeros(1)}
+        targets[name].flat[-1] = value
+        out = tmp_path / "pred"
+        with pytest.raises(SampleFormatError,
+                           match=f"^{re.escape(str(out / name))}: non-finite"):
+            save_targets(out, targets["pressure.txt"],
+                         targets["velocity.txt"], targets["cd.txt"][0])
+        assert not out.exists()
 
     def test_save_is_deterministic(self, tmp_path):
         rec = make_record()
