@@ -137,7 +137,7 @@ def evaluate_predictions(drag_true, drag_pred, pressure_true, pressure_pred,
 
 def evaluate(state: ModelState, records: list[SampleRecord]) -> MetricReport:
     """Run the model over a split and compute the full metric report on
-    denormalized predictions."""
+    denormalized predictions, refusing a non-finite one by sample id."""
     if not records:
         raise ValueError("evaluate needs a non-empty split")
     drag_t, drag_p = [], []
@@ -145,6 +145,10 @@ def evaluate(state: ModelState, records: list[SampleRecord]) -> MetricReport:
     vel_t, vel_p = [], []
     for rec in records:
         pred = predict_denormalized(state, rec.surface, rec.volume)
+        if not all(np.isfinite(v).all()
+                   for v in (pred.drag, pred.pressure, pred.velocity)):
+            raise FloatingPointError(
+                f"sample {rec.id!r}: non-finite prediction")
         drag_t.append(rec.drag)
         drag_p.append(pred.drag)
         press_t.append(rec.pressure)

@@ -7,7 +7,7 @@ role-flag input channel (surface=1, volume=0). A single forward pass
 produces all three predictions.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 import json
 import math
@@ -183,8 +183,10 @@ def forward_graph(state: ModelState, surface: PointCloud,
 def forward(state: ModelState, surface: PointCloud,
             volume: PointCloud | None) -> Prediction:
     """Plain forward pass on normalized clouds; outputs in normalized
-    target units."""
-    drag, pressure, velocity = forward_graph(state, surface, volume)
+    target units, non-finite where they overflow, with numpy's warnings
+    silenced: the callers refuse a non-finite output by name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        drag, pressure, velocity = forward_graph(state, surface, volume)
     vel = velocity.value if velocity is not None else np.zeros((0, 3))
     return Prediction(drag=float(drag.value),
                       pressure=np.asarray(pressure.value, dtype=np.float64),
@@ -259,16 +261,21 @@ def load_checkpoint(path) -> ModelState:
         raise CheckpointError(f"{path}: bad header: {e!r}") from e
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    layout, dtype = _layout(config), np.dtype(config.dtype)
+    dtype = np.dtype(config.dtype)
     start = end + 1 + (-(end + 1) % _ALIGN)
-    sizes = [math.prod(slot.shape) for slot in layout.values()]
-    size = start + sum(sizes) * dtype.itemsize + 4
+    # counted on a one-layer layout: a claimed layer count costs nothing
+    count = sum(math.prod(slot.shape)
+                * (config.layers if name.startswith("layers.") else 1)
+                for name, slot in _layout(replace(config, layers=1)).items())
+    size = start + count * dtype.itemsize + 4
     if len(data) != size:
         kind = "truncated" if len(data) < size else "trailing bytes"
         raise CheckpointError(f"{path}: {kind}: {len(data)} bytes, not {size}")
     if zlib.crc32(memoryview(data)[:-4]) != int.from_bytes(data[-4:], "little"):
         raise CheckpointError(f"{path}: CRC mismatch, the file is corrupt")
-    flat = np.frombuffer(data, dtype.newbyteorder("<"), sum(sizes), start)
+    layout = _layout(config)
+    sizes = [math.prod(slot.shape) for slot in layout.values()]
+    flat = np.frombuffer(data, dtype.newbyteorder("<"), count, start)
     params = {}
     for (name, slot), part in zip(layout.items(),
                                   np.split(flat, np.cumsum(sizes)[:-1])):

@@ -8,11 +8,10 @@ canonical pre-norm Transformer block.
 
 Each stage exists once, as an ndarray function that carries the heads as
 a leading axis (slice weights are (H, M, N)), so all heads run in batched
-matmuls. attention_block_t runs the whole block as one autodiff node: its
-forward calls the stages and its backward is derived by hand. Untracked,
-it runs the point-local stages after the token attention in fixed chunks
-of rows, and those up to the token aggregation, the one sum over all
-points, over all N. The ndarray wrappers call the stages with one head.
+matmuls. The block's forward is written once (_block), for training and
+inference: when a gradient is needed it also returns the hand-derived
+backward over that call's activations, and attention_block_t makes the
+pair one autodiff node. The ndarray wrappers call the stages with one head.
 """
 
 from dataclasses import dataclass, fields
@@ -230,68 +229,41 @@ def _deslice(w: np.ndarray, z_prime: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_rows(x: np.ndarray, p: LayerParams) -> np.ndarray:
-    """The block's forward, keeping no activations. The stages after the
-    token attention act on single points and run over chunks of _ROWS rows,
-    the last taking the remainder: no chunk GEMM is shorter than _ROWS rows
-    (BLAS may round a shorter one differently) and the output is bit-equal
-    to the unchunked forward's."""
-    n, h = x.shape[0], p.heads
-    a = _layer_norm(x, p.ln1_gain, p.ln1_bias, keep=False)[0]
-    w = _slice_weights(a, p.slice_proj, p.slice_bias, math.exp(p.log_tau), h)
-    z_prime = _attend(_aggregate(a, w)[0], h, p.w_q, p.b_q, p.w_k, p.b_k,
-                      p.w_v, p.b_v, p.w_o, p.b_o)[0]
-    del a
-    out = np.empty(x.shape, x.dtype)
-    bounds = [0, *range(_ROWS, n - _ROWS + 1, _ROWS), n]
-    for rows in map(slice, bounds, bounds[1:]):
-        x_hat = _deslice(w[..., rows], z_prime)
-        x_hat += x[rows]
-        f = _layer_norm(x_hat, p.ln2_gain, p.ln2_bias, keep=False)[0]
-        pre = f @ p.ffn_w1
-        pre += p.ffn_b1
-        t = _gelu_tanh(pre)
-        hidden = _gelu_from_tanh(pre, t, out=t)
-        np.matmul(hidden, p.ffn_w2, out=out[rows])
-        out[rows] += p.ffn_b2
-        out[rows] += x_hat
-    return out
-
-
-def attention_block_t(x: Tensor, p: LayerParams) -> Tensor:
-    """Pre-norm residual block as one autodiff node, with x and the fields
-    of p as its parents:
+def _block(x: np.ndarray, p: LayerParams, keep: bool):
+    """The pre-norm residual block on ndarrays:
     x_hat = PhysicsAttn(LN(x)) + x; out = FFN(LN(x_hat)) + x_hat.
-
-    Computed on ndarrays in the dtype of x, to which the fields of p are
-    cast. When neither x nor a field of p requires a gradient, the
-    forward runs in row chunks (_block_rows) and records no graph;
-    otherwise it runs over all N at once and keeps the activations the
-    hand-derived backward needs."""
-    parents = (ad.as_tensor(x),) + tuple(ad.as_tensor(v)
-                                         for _, v in p.named_arrays())
-    x = parents[0].value
-    h, p = p.heads, LayerParams(heads=p.heads, **{
-        name: np.asarray(t.value, dtype=x.dtype)
-        for (name, _), t in zip(p.named_arrays(), parents[1:])})
-    if not any(t.requires_grad for t in parents):
-        return Tensor(_block_rows(x, p))
-    a, normed1, std1 = _layer_norm(x, p.ln1_gain, p.ln1_bias, keep=True)
+    Returns (out, backward). The stages after the token attention act on
+    single points. With keep they run once, over all N, and backward, the
+    hand-derived gradient from this call's activations, maps d at out to
+    [d x] + the d of each field of p in field order. Without keep,
+    backward is None, the layer-norm output is freed first and those
+    stages run over chunks of _ROWS rows, the last taking the remainder:
+    no chunk GEMM is shorter than _ROWS rows (BLAS may round a shorter one
+    differently), so out is bit-equal either way."""
+    n, h = x.shape[0], p.heads
+    a, normed1, std1 = _layer_norm(x, p.ln1_gain, p.ln1_bias, keep)
     tau = math.exp(p.log_tau)
     w = _slice_weights(a, p.slice_proj, p.slice_bias, tau, h)
     z, denom = _aggregate(a, w)
     z_prime, (q, k, v, attn, mixed) = _attend(
         z, h, p.w_q, p.b_q, p.w_k, p.b_k, p.w_v, p.b_v, p.w_o, p.b_o)
-    x_hat = _deslice(w, z_prime)
-    x_hat += x
-    f, normed2, std2 = _layer_norm(x_hat, p.ln2_gain, p.ln2_bias, keep=True)
-    pre = f @ p.ffn_w1
-    pre += p.ffn_b1
-    th = _gelu_tanh(pre)
-    hidden = _gelu_from_tanh(pre, th)
-    out = hidden @ p.ffn_w2
-    out += p.ffn_b2
-    out += x_hat
+    if not keep:
+        del a, normed1
+    out = np.empty(x.shape, x.dtype)
+    bounds = [0, n] if keep else [0, *range(_ROWS, n - _ROWS + 1, _ROWS), n]
+    for rows in map(slice, bounds, bounds[1:]):
+        x_hat = _deslice(w[..., rows], z_prime)
+        x_hat += x[rows]
+        f, normed2, std2 = _layer_norm(x_hat, p.ln2_gain, p.ln2_bias, keep)
+        pre = f @ p.ffn_w1
+        pre += p.ffn_b1
+        th = _gelu_tanh(pre)
+        hidden = _gelu_from_tanh(pre, th, out=None if keep else th)
+        np.matmul(hidden, p.ffn_w2, out=out[rows])
+        out[rows] += p.ffn_b2
+        out[rows] += x_hat
+    if not keep:
+        return out, None
 
     def backward(g):
         d = {}
@@ -333,8 +305,26 @@ def attention_block_t(x: Tensor, p: LayerParams) -> Tensor:
         d_x, d["ln1_gain"], d["ln1_bias"] = _layer_norm_grad(
             d_a + d_a_slice, normed1, std1, p.ln1_gain)
         d_x += d_x_hat
-        grads = [d_x] + [d[name] for name, _ in p.named_arrays()]
-        for t, d_t in zip(parents, grads):
+        return [d_x] + [d[name] for name, _ in p.named_arrays()]
+
+    return out, backward
+
+
+def attention_block_t(x: Tensor, p: LayerParams) -> Tensor:
+    """_block as one autodiff node, with x and the fields of p as its
+    parents, computed in the dtype of x, to which the fields of p are
+    cast. Only when x or a field of p requires a gradient does it keep
+    the activations and record a backward."""
+    parents = (ad.as_tensor(x),) + tuple(ad.as_tensor(v)
+                                         for _, v in p.named_arrays())
+    x = parents[0].value
+    p = LayerParams(heads=p.heads, **{
+        name: np.asarray(t.value, dtype=x.dtype)
+        for (name, _), t in zip(p.named_arrays(), parents[1:])})
+    out, block_backward = _block(x, p, any(t.requires_grad for t in parents))
+
+    def backward(g):
+        for t, d_t in zip(parents, block_backward(g)):
             _accum(t, d_t)
 
     return Tensor(out, parents=parents, backward=backward)

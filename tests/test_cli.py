@@ -528,6 +528,42 @@ class TestCorruptParameters:
                        "non-finite target value\n")
         assert not (tmp_path / "pred").exists()
 
+    @staticmethod
+    def overflowing(pipeline, path):
+        # finite weights whose pressure head overflows float32
+        state = load_checkpoint(pipeline[2] / "checkpoint_final.bin")
+        for name in ("head.pressure.b1", "head.pressure.w2",
+                     "head.pressure.b2"):
+            state.params[name][...] = 3e38
+        save_checkpoint(state, path)
+        return path
+
+    def test_predict_overflow_warns_nothing(self, pipeline, tmp_path, capsys):
+        _, data, _ = pipeline
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["predict", "--checkpoint",
+                                str(self.overflowing(pipeline, tmp_path / "c.bin")),
+                                "--in", str(data / read_manifest(data)["samples"][0]),
+                                "--out", str(tmp_path / "pred")], capsys)
+        assert (code, err) == (1, f"error: {tmp_path / 'pred' / 'pressure.txt'}: "
+                                  "non-finite target value\n")
+
+    def test_evaluate_overflow_names_the_sample(self, pipeline, tmp_path,
+                                                capsys):
+        # it wrote metrics.json with Infinity, which is not JSON, and exited 0
+        _, data, _ = pipeline
+        first = read_manifest(data)["samples"][0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["evaluate", "--checkpoint",
+                                  str(self.overflowing(pipeline, tmp_path / "c.bin")),
+                                  "--data", str(data), "--split", "all",
+                                  "--out", str(tmp_path / "eval")], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: sample {first!r}: non-finite prediction\n"
+        assert not (tmp_path / "eval").exists()
+
     def test_log_tau_just_inside_bound_loads(self, pipeline, tmp_path):
         _, _, run_dir = pipeline
         state = load_checkpoint(run_dir / "checkpoint_final.bin")
@@ -688,6 +724,31 @@ class TestConfigHandling:
                             "--out", str(tmp_path / "run")], capsys)
         assert code == 2
         assert "max_steps must be >= 0" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv,settings,message", [
+        (["--learning-rate", "inf"], {}, "learning rate must be positive and finite"),
+        ([], {"learning_rate": float("nan")},
+         "learning rate must be positive and finite"),
+        ([], {"eps": 0}, "eps must be positive and finite"),
+        ([], {"eps": -1.0}, "eps must be positive and finite"),
+        ([], {"lambda_v": float("nan")},
+         "loss weights must be finite and non-negative"),
+        ([], {"lambda_cd": float("inf")},
+         "loss weights must be finite and non-negative"),
+    ], ids=["lr_inf_flag", "lr_nan", "eps_0", "eps_negative", "lambda_v_nan",
+            "lambda_cd_inf"])
+    def test_untrainable_setting_is_config_error(self, tmp_path, capsys, argv,
+                                                 settings, message):
+        # NaN slipped through `<= 0` and `min(...) < 0`; inf and eps <= 0
+        # failed at a later step with exit 1, or trained with exit 0
+        data = gen(tmp_path, n=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(settings))
+        code, _, err = run(["train", "--data", str(data), "--epochs", "2",
+                            "--config", str(cfg_path), *argv,
+                            "--out", str(tmp_path / "run")], capsys)
+        assert (code, err) == (2, f"error: {message}\n")
         assert not (tmp_path / "run").exists()
 
 

@@ -35,11 +35,15 @@ def test_demo_exits_zero(demo, tmp_path):
 
 
 def test_gradient_check_demo_exits_1_on_failure(tmp_path):
-    # the demo run with grad_check's corrupt-gradient hook switched on
+    # the demo run with one analytic gradient off by 1 everywhere
     demo = str(ROOT / "demos" / "05_gradient_check.py")
     script = ("import runpy, aerosurrogate.training as t\n"
-              "check = t.grad_check\n"
-              "t.grad_check = lambda: check(corrupt_tensor='embedding.w')\n"
+              "exact = t.loss_and_grads\n"
+              "def corrupted(*args):\n"
+              "    components, grads = exact(*args)\n"
+              "    grads['embedding.w'] = grads['embedding.w'] + 1.0\n"
+              "    return components, grads\n"
+              "t.loss_and_grads = corrupted\n"
               f"runpy.run_path({demo!r}, run_name='__main__')\n")
     proc = run_python(["-c", script], tmp_path)
     assert proc.returncode == 1, proc.stderr

@@ -253,6 +253,34 @@ class TestCheckpoint:
                 f"{path}: truncated: {size - 40} bytes, not {size}")):
             load_checkpoint(path)
 
+    def test_huge_layer_count_refused_without_allocating(self, tmp_path):
+        # the size check costs the same whatever layer count the header
+        # claims; a layout of 19 slots per layer took 290 MB here
+        sizes = []
+        for layers in (1, 2):
+            save_checkpoint(init_model(tiny_config(layers=layers)),
+                            tmp_path / "m.bin")
+            sizes.append(len((tmp_path / "m.bin").read_bytes()))
+        data = (tmp_path / "m.bin").read_bytes()
+        end = data.index(b"\n")
+        header = json.loads(data[8:end])
+        header["config"]["layers"] = 100000
+        head = data[:8] + json.dumps(header, sort_keys=True).encode() + b"\n"
+        head += b"\0" * (-len(head) % 64)
+        body = data[end + 1 + (-(end + 1) % 64):]
+        path = tmp_path / "huge.bin"
+        path.write_bytes(head + body)
+        want = len(head) + len(body) + 99998 * (sizes[1] - sizes[0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=re.escape(
+                    f"{path}: truncated: {len(head + body)} bytes, not {want}")):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_every_single_bit_flip_refused(self, tmp_path):
         state = init_model(tiny_config(precision="f32"))
         path = tmp_path / "m.bin"

@@ -333,9 +333,19 @@ class TestGradCheck:
         assert report.max_rel_error < 1e-5
         assert report.passed
 
-    def test_corrupted_gradient_fails(self):
-        report = grad_check(corrupt_tensor="embedding.w")
+    def test_corrupted_gradient_fails(self, monkeypatch):
+        from aerosurrogate import training
+        exact = training.loss_and_grads
+
+        def corrupted(*args):
+            components, grads = exact(*args)
+            grads["embedding.w"] = grads["embedding.w"] + 1.0
+            return components, grads
+
+        monkeypatch.setattr(training, "loss_and_grads", corrupted)
+        report = grad_check()
         assert not report.passed
+        assert max(report.per_tensor, key=report.per_tensor.get) == "embedding.w"
 
     def test_infinite_tolerance_passes(self):
         report = grad_check(tolerance=math.inf)
