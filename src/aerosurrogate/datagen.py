@@ -55,6 +55,16 @@ class ShapeSpec:
             raise ValueError("point counts must be >= 1")
         if not (self.r_min > 1 and self.r_max > self.r_min):
             raise ValueError("need r_max > r_min > 1")
+        # what the generator divides by or cubes, multiplied out: a Python
+        # float product overflows to inf or underflows to 0, not raising
+        squares = [x * x for x in (self.a, self.b, self.c)]
+        outer = self.r_max * self.equivalent_radius
+        if not (all(0 < x < math.inf for x in [*squares, outer * outer * outer])
+                and all(1 / x < math.inf for x in squares)):
+            raise ValueError(
+                f"semi-axes ({self.a:g}, {self.b:g}, {self.c:g}) with r_max "
+                f"{self.r_max:g}: a^2, b^2, c^2, their inverses and "
+                "(r_max*R)^3 must be finite and non-zero")
 
     @property
     def equivalent_radius(self) -> float:
@@ -182,9 +192,12 @@ class DatasetSpec:
                 raise ValueError("axis ranges must satisfy 0 < lo <= hi")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        # every sample's ShapeSpec takes these counts and radii
-        ShapeSpec(1.0, 1.0, 1.0, self.n_surface, self.n_volume, self.r_min,
-                  self.r_max)
+        # every sample's ShapeSpec takes these counts and radii, and
+        # semi-axes between the smallest and the largest bound
+        bounds = [*self.a_range, *self.b_range, *self.c_range]
+        for x in (min(bounds), max(bounds)):
+            ShapeSpec(x, x, x, self.n_surface, self.n_volume, self.r_min,
+                      self.r_max)
 
 
 def _draw_axes(dspec: DatasetSpec, rng: SplitMix64) -> tuple[float, float, float]:

@@ -7,6 +7,7 @@ role-flag input channel (surface=1, volume=0). A single forward pass
 produces all three predictions.
 """
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 import json
@@ -58,17 +59,40 @@ class ModelConfig:
         return np.float64 if self.precision == "f64" else np.float32
 
 
-@dataclass
+class Params(Mapping):
+    """Named views of one array, flat, in a layout's order and shapes. The
+    views are written in place; no name can be rebound, added or removed."""
+
+    def __init__(self, layout: dict[str, Slot], flat: np.ndarray):
+        self.layout, self.flat = layout, flat
+        ends = np.cumsum([math.prod(slot.shape) for slot in layout.values()])
+        self._views = {name: part.reshape(slot.shape) for (name, slot), part
+                       in zip(layout.items(), np.split(flat, ends[:-1]))}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def first_nonfinite(self) -> str | None:
+        if not np.isfinite(self.flat).all():
+            return next(n for n, a in self.items() if not np.isfinite(a).all())
+
+
+@dataclass(frozen=True)
 class ModelState:
     """All trainable parameters plus normalization stats and config.
 
-    params maps dotted names to ndarrays, in _layout order. Layer i's
-    fields are the entries "layers.{i}.<field>".
-    """
+    params maps dotted names to views of one array of the config's dtype,
+    in _layout order; layer i's fields are "layers.{i}.<field>"."""
 
     config: ModelConfig
     stats: NormalizationStats
-    params: dict[str, np.ndarray]
+    params: Params
 
     def layer_params(self, i: int) -> LayerParams:
         return LayerParams.lookup(self.params, f"layers.{i}.", self.config.heads)
@@ -83,9 +107,9 @@ class Prediction:
 
 def _layout(config: ModelConfig) -> dict[str, Slot]:
     """The Slot of every parameter, in the order init_model draws them in
-    and a checkpoint stores them. A checkpoint names no tensor, so this
-    order is part of its format: a reorder needs a version bump. Each
-    layer's FFN is 2C wide and each head's hidden layer C wide."""
+    and a checkpoint, which names no tensor, stores them: a reorder needs a
+    version bump (test_init_values_and_order_pinned). Each layer's FFN is
+    2C wide and each head's hidden layer C wide."""
     c = config.channels
     w = config.geom_width + 1           # +1 is the surface/volume role flag
     slots = {"embedding.w": Slot((w, c), w), "embedding.b": Slot((c,))}
@@ -103,12 +127,12 @@ def _layout(config: ModelConfig) -> dict[str, Slot]:
 def init_model(config: ModelConfig,
                stats: NormalizationStats | None = None) -> ModelState:
     """Deterministic seeded initialization of every parameter tensor."""
-    rng = SplitMix64(config.seed)
-    params = {name: slot.draw(rng, config.dtype)
-              for name, slot in _layout(config).items()}
+    rng, layout = SplitMix64(config.seed), _layout(config)
+    flat = np.concatenate([slot.draw(rng, config.dtype).reshape(-1)
+                           for slot in layout.values()])
     return ModelState(config=config,
                       stats=stats or NormalizationStats.identity(),
-                      params=params)
+                      params=Params(layout, flat))
 
 
 def _input_features(config: ModelConfig, cloud: PointCloud) -> np.ndarray:
@@ -216,27 +240,15 @@ def predict_denormalized(state: ModelState, surface: PointCloud,
 
 def save_checkpoint(state: ModelState, path) -> None:
     """Binary checkpoint: magic, a JSON header line of version, config and
-    stats, zero padding to 64-byte alignment, every parameter in _layout
-    order as little-endian values of the config's dtype, then a CRC-32 of
-    all preceding bytes (4 bytes, little-endian). The file names no
-    tensor, so _layout's order is part of the format: a reorder needs a
-    version bump (test_init_values_and_order_pinned guards it). A
-    parameter that differs from its slot is a ValueError naming it."""
-    layout, dtype = _layout(state.config), np.dtype(state.config.dtype)
-    if state.params.keys() != layout.keys():
-        raise ValueError(f"parameters {sorted(state.params.keys() ^ layout.keys())}"
-                         " differ from the config's layout")
-    blobs = []
-    for name, slot in layout.items():
-        a = np.asarray(state.params[name])
-        if a.shape != slot.shape or a.dtype != dtype:
-            raise ValueError(f"parameter {name}: {a.dtype} {a.shape} differs "
-                             f"from its slot, {dtype} {slot.shape}")
-        blobs.append(a.astype(dtype.newbyteorder("<")).tobytes())
+    stats, zero padding to 64-byte alignment, params.flat (every parameter
+    in _layout order) as little-endian values of the config's dtype, then
+    a CRC-32 of all preceding bytes (4 bytes, little-endian)."""
+    dtype = np.dtype(state.config.dtype).newbyteorder("<")
     header = {"version": CHECKPOINT_VERSION, "config": asdict(state.config),
               "stats": state.stats.to_dict()}
     head = CHECKPOINT_MAGIC + json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
-    data = head + b"\0" * (-len(head) % _ALIGN) + b"".join(blobs)
+    data = (head + b"\0" * (-len(head) % _ALIGN)
+            + state.params.flat.astype(dtype, copy=False).tobytes())
     Path(path).write_bytes(data + zlib.crc32(data).to_bytes(4, "little"))
 
 
@@ -273,15 +285,11 @@ def load_checkpoint(path) -> ModelState:
         raise CheckpointError(f"{path}: {kind}: {len(data)} bytes, not {size}")
     if zlib.crc32(memoryview(data)[:-4]) != int.from_bytes(data[-4:], "little"):
         raise CheckpointError(f"{path}: CRC mismatch, the file is corrupt")
-    layout = _layout(config)
-    sizes = [math.prod(slot.shape) for slot in layout.values()]
-    flat = np.frombuffer(data, dtype.newbyteorder("<"), count, start)
-    params = {}
-    for (name, slot), part in zip(layout.items(),
-                                  np.split(flat, np.cumsum(sizes)[:-1])):
-        params[name] = part.reshape(slot.shape).astype(dtype)
-        if not np.isfinite(params[name]).all():
-            raise CheckpointError(f"{path}: tensor {name} is not finite")
+    params = Params(_layout(config), np.frombuffer(
+        data, dtype.newbyteorder("<"), count, start).astype(dtype))
+    bad = params.first_nonfinite()
+    if bad is not None:
+        raise CheckpointError(f"{path}: tensor {bad} is not finite")
     bound = math.log(np.finfo(dtype).max)
     for li in range(config.layers):
         log_tau = float(params[f"layers.{li}.log_tau"])

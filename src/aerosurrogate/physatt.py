@@ -38,7 +38,7 @@ class LayerParams:
     to keep it positive while trainable.
 
     The fields may be ndarrays or autodiff Tensors: the model looks them up
-    by name in its parameter dict, which holds Tensors during training.
+    by name in its parameters, or in their Tensors during training.
     """
 
     slice_proj: np.ndarray    # (C, H*M)
@@ -71,7 +71,7 @@ class LayerParams:
                 if f.name != "heads"]
 
     @classmethod
-    def lookup(cls, params: dict, prefix: str, heads: int) -> "LayerParams":
+    def lookup(cls, params, prefix: str, heads: int) -> "LayerParams":
         """The layer whose fields are params[prefix + field name]."""
         return cls(heads=heads, **{f.name: params[prefix + f.name]
                                    for f in fields(cls) if f.name != "heads"})

@@ -145,6 +145,9 @@ class NormalizationStats:
         if not (self.pressure_std > 0 and self.drag_std > 0
                 and np.all(self.velocity_std > 0)):
             raise ValueError("target stds must be positive")
+        for f in fields(self):
+            if not np.all(np.isfinite(getattr(self, f.name))):
+                raise ValueError(f"{f.name} must be finite")
 
     @staticmethod
     def identity() -> "NormalizationStats":

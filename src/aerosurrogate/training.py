@@ -14,8 +14,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .datagen import DatasetSpec, generate_records
-from .model import ModelConfig, ModelState, init_model, forward_graph, \
-    save_checkpoint
+from .model import ModelConfig, ModelState, Params, init_model, \
+    forward_graph, save_checkpoint
 from .pointcloud import SampleRecord, compute_stats, normalize
 from .rng import SplitMix64, derive_seed
 
@@ -61,11 +61,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
 
 
-def _target_norm(y: np.ndarray) -> float:
-    """||y||_2 in float64, the denominator of the relative L2."""
+def _target_norm(y: np.ndarray, name: str = "target") -> float:
+    """||y||_2 in float64, the denominator of the relative L2; the error
+    for a zero norm calls y name."""
     denom = float(np.linalg.norm(np.asarray(y, dtype=np.float64)))
     if denom < _NORM_FLOOR:
-        raise DegenerateTargetError("target norm is zero; relative L2 undefined")
+        raise DegenerateTargetError(f"{name} norm is zero; relative L2 undefined")
     return denom
 
 
@@ -78,8 +79,8 @@ def relative_l2(y: np.ndarray, y_hat: np.ndarray) -> float:
     return float(np.linalg.norm(y - y_hat)) / _target_norm(y)
 
 
-def _relative_l2_t(y_hat: Tensor, y: np.ndarray) -> Tensor:
-    denom = _target_norm(y)
+def _relative_l2_t(y_hat: Tensor, y: np.ndarray, name: str) -> Tensor:
+    denom = _target_norm(y, name)
     y = Tensor(np.asarray(y, dtype=y_hat.value.dtype))
     return ad.mul(ad.frobenius_norm(ad.sub(y_hat, y)), 1.0 / denom)
 
@@ -90,8 +91,9 @@ def composite_loss_t(drag: Tensor, pressure: Tensor, velocity: Tensor,
     """Differentiable composite loss of predictions against one
     (normalized) sample. Returns the loss Tensor and its components as
     floats."""
-    loss_p = _relative_l2_t(pressure, record.pressure)
-    loss_v = _relative_l2_t(velocity, record.velocity)
+    sample = f"sample {record.id!r}:"
+    loss_p = _relative_l2_t(pressure, record.pressure, f"{sample} pressure target")
+    loss_v = _relative_l2_t(velocity, record.velocity, f"{sample} velocity target")
     d = ad.sub(drag, float(record.drag))
     loss_cd = ad.mul(d, d)
     total = ad.add(ad.add(ad.mul(loss_v, weights.velocity),
@@ -111,33 +113,31 @@ def _loss_graph(state: ModelState, record: SampleRecord, weights: LossWeights,
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray     # both in the layout of params.flat
+    v: np.ndarray
     t: int = 0
 
     @staticmethod
-    def fresh(params: dict[str, np.ndarray]) -> "AdamState":
-        return AdamState(m={k: np.zeros_like(a) for k, a in params.items()},
-                         v={k: np.zeros_like(a) for k, a in params.items()})
+    def fresh(params: Params) -> "AdamState":
+        return AdamState(m=np.zeros_like(params.flat),
+                         v=np.zeros_like(params.flat))
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              moments: AdamState, config: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place."""
+def adam_step(params: Params, grads: Params, moments: AdamState,
+              config: TrainConfig) -> None:
+    """One bias-corrected Adam update of params.flat, in place; a non-finite
+    gradient is a FloatingPointError naming its tensor, and changes nothing."""
+    bad = grads.first_nonfinite()
+    if bad is not None:
+        raise FloatingPointError(f"non-finite gradient for tensor {bad!r}")
     moments.t += 1
-    t = moments.t
     b1, b2 = config.beta1, config.beta2
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for tensor {name!r}")
-        g = g.astype(p.dtype, copy=False)
-        m = moments.m[name] = b1 * moments.m[name] + (1 - b1) * g
-        v = moments.v[name] = b2 * moments.v[name] + (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p -= (config.learning_rate * m_hat /
-              (np.sqrt(v_hat) + config.eps)).astype(p.dtype, copy=False)
+    g = grads.flat.astype(params.flat.dtype, copy=False)
+    m = moments.m = b1 * moments.m + (1 - b1) * g
+    v = moments.v = b2 * moments.v + (1 - b2) * g * g
+    m_hat = m / (1 - b1 ** moments.t)
+    v_hat = v / (1 - b2 ** moments.t)
+    params.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
 
 
 @dataclass
@@ -150,7 +150,7 @@ class TrainResult:
 
 
 def loss_and_grads(state: ModelState, record: SampleRecord,
-                   weights: LossWeights) -> tuple[dict, dict]:
+                   weights: LossWeights) -> tuple[dict, Params]:
     """The composite loss of one normalized sample (its components and
     loss_total) and its gradient for every parameter, zero where unreached."""
     params_t = {name: Tensor(arr, requires_grad=True)
@@ -160,9 +160,9 @@ def loss_and_grads(state: ModelState, record: SampleRecord,
         raise FloatingPointError(f"non-finite loss on sample {record.id!r}")
     loss.backward()
     components["loss_total"] = float(loss.value)
-    return components, {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.value))
-        for name, t in params_t.items()}
+    return components, Params(state.params.layout, np.concatenate(
+        [(t.grad if t.grad is not None else np.zeros_like(t.value)).reshape(-1)
+         for t in params_t.values()], dtype=state.params.flat.dtype))
 
 
 def train_step(state: ModelState, record: SampleRecord, weights: LossWeights,
@@ -275,27 +275,21 @@ def grad_check(tolerance: float = 1e-5, seed: int = 1234) -> GradCheckReport:
         n_samples=1, n_surface=5, n_volume=3, seed=derive_seed(seed, 1)))[0]
     weights = LossWeights()
     analytic = loss_and_grads(state, record, weights)[1]
+    flat = state.params.flat
+    fd = Params(state.params.layout, np.zeros_like(flat))
 
-    def loss_value() -> float:
+    def loss_at(i: int, value) -> float:
+        flat[i] = value
         return float(_loss_graph(state, record, weights)[0].value)
 
+    for i in range(flat.size):
+        orig = flat[i]
+        fd.flat[i] = (loss_at(i, orig + h) - loss_at(i, orig - h)) / (2 * h)
+        flat[i] = orig
     per_tensor = {}
-    for name, arr in state.params.items():
-        fd = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        fd_flat = fd.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_value()
-            flat[i] = orig - h
-            down = loss_value()
-            flat[i] = orig
-            fd_flat[i] = (up - down) / (2 * h)
-        a = analytic[name]
+    for name, a in analytic.items():
         denom = max(float(np.abs(a).max(initial=0.0)),
-                    float(np.abs(fd).max(initial=0.0)), 1e-8)
-        per_tensor[name] = float(np.abs(a - fd).max(initial=0.0)) / denom
-    max_rel = max(per_tensor.values())
-    return GradCheckReport(max_rel_error=max_rel, per_tensor=per_tensor,
-                           tolerance=tolerance)
+                    float(np.abs(fd[name]).max(initial=0.0)), 1e-8)
+        per_tensor[name] = float(np.abs(a - fd[name]).max(initial=0.0)) / denom
+    return GradCheckReport(max_rel_error=max(per_tensor.values()),
+                           per_tensor=per_tensor, tolerance=tolerance)

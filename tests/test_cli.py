@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -56,6 +57,25 @@ class TestGenData:
                            capsys)
         assert code == 2
         assert err.startswith("error: ")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("settings", [
+        {"a_min": 1e308, "a_max": 1e308}, {"c_min": 1e-200, "c_max": 1e-200},
+        {"r_max": float("inf")}], ids=["a_1e308", "c_1e-200", "r_max_inf"])
+    def test_overflowing_shape_setting_is_config_error(self, tmp_path, capsys,
+                                                       settings):
+        # these raised OverflowError or ZeroDivisionError, or warned, and
+        # left --out behind as an empty directory
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(settings))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["gen-data", "--n", "1", "--n-surface", "8",
+                                  "--n-volume", "4", "--config", str(cfg_path),
+                                  "--out", str(tmp_path / "d")], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: semi-axes (") and err.count("\n") == 1
+        assert err.endswith("must be finite and non-zero\n")
         assert not (tmp_path / "d").exists()
 
     def test_repeat_identical_tree(self, tmp_path):
@@ -471,6 +491,40 @@ class TestMalformedCheckpoint:
         self.check(pipeline, tmp_path, capsys, path, key)
 
 
+class TestNonFiniteStats:
+    """A checkpoint whose header stats are not finite is refused as a bad
+    header that names the file, even with a valid CRC: it used to load, and
+    predict then blamed its own output or named no file."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("drag_mean", float("nan")), ("velocity_mean", [float("nan"), 0, 0]),
+        ("position_center", [float("inf"), 0, 0]),
+        ("pressure_std", float("inf")), ("position_scale", float("inf"))],
+        ids=["drag_mean_nan", "velocity_mean_nan", "position_center_inf",
+             "pressure_std_inf", "position_scale_inf"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_refused_as_bad_header(self, pipeline, tmp_path, capsys, command,
+                                   key, value):
+        _, data, run_dir = pipeline
+        path = tiny_checkpoint(
+            tmp_path / "c.bin",
+            state=load_checkpoint(run_dir / "checkpoint_final.bin"),
+            edit=lambda h: {**h, "stats": {**h["stats"], key: value}})
+        signed = path.read_bytes()[:-4]
+        path.write_bytes(signed + zlib.crc32(signed).to_bytes(4, "little"))
+        sample_dir = data / read_manifest(data)["samples"][0]
+        argv = {"predict": ["--in", str(sample_dir)],
+                "evaluate": ["--data", str(data)]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run([command, "--checkpoint", str(path), *argv,
+                                  "--out", str(tmp_path / "out")], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {path}: bad header: "
+                       f"ValueError('{key} must be finite')\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestCorruptParameters:
     """A checkpoint whose parameters are non-finite, or whose log_tau
     overflows tau or 1/tau, is refused by name: predict and evaluate exit 1
@@ -764,7 +818,8 @@ class TestRuntimeValueError:
         code, _, err = run(["train", "--data", str(data), "--out",
                             str(tmp_path / "run"), "--epochs", "1"], capsys)
         assert code == 1
-        assert err == "error: target norm is zero; relative L2 undefined\n"
+        assert re.fullmatch(r"error: sample 'sample_000[0-2]': pressure target "
+                            r"norm is zero; relative L2 undefined\n", err)
 
     def test_cloud_smaller_than_neighbourhood_exits_1(self, tmp_path, capsys):
         data = gen(tmp_path, n=1, n_surface=12)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,28 @@ class TestShapeSpec:
             ShapeSpec(a=1.0, b=1.0, c=1.0, r_min=0.9, r_max=2.0)
         with pytest.raises(ValueError):
             ShapeSpec(a=1.0, b=1.0, c=1.0, r_min=2.0, r_max=1.5)
+
+    @pytest.mark.parametrize("axes,r_max", [
+        ((1e308, 1e308, 1e308), 3.0), ((1e200, 1.0, 1.0), 3.0),
+        ((1.0, 1.0, 1e-200), 3.0), ((1.0, 1.0, 1e-160), 3.0),
+        ((1e120, 1e120, 1e120), 3.0), ((1.0, 1.0, 1.0), math.inf),
+        ((math.inf, 1.0, 1.0), 3.0), ((1.0, 1.0, 1.0), 1e200)],
+        ids=["a_squared_overflows", "a_squared_overflows_alone",
+             "c_squared_underflows", "inverse_c_squared_overflows",
+             "r_cubed_overflows", "r_max_inf", "a_inf", "r_max_huge"])
+    def test_overflowing_derived_quantities_refused(self, axes, r_max):
+        with pytest.raises(ValueError, match=re.escape(
+                "a^2, b^2, c^2, their inverses and (r_max*R)^3 must be "
+                "finite and non-zero")):
+            ShapeSpec(*axes, r_max=r_max)
+
+    @pytest.mark.parametrize("ranges", [
+        dict(a_range=(1e308, 1e308)), dict(c_range=(1e-200, 1e-200)),
+        dict(a_range=(1.0, math.inf)), dict(r_max=math.inf)],
+        ids=["a_huge", "c_tiny", "a_inf", "r_max_inf"])
+    def test_dataset_refuses_overflowing_bounds(self, ranges):
+        with pytest.raises(ValueError, match="must be finite and non-zero"):
+            DatasetSpec(n_samples=1, **ranges)
 
     def test_equivalent_radius(self):
         spec = ShapeSpec(a=2.0, b=1.0, c=0.5)

@@ -41,7 +41,7 @@ def test_gradient_check_demo_exits_1_on_failure(tmp_path):
               "exact = t.loss_and_grads\n"
               "def corrupted(*args):\n"
               "    components, grads = exact(*args)\n"
-              "    grads['embedding.w'] = grads['embedding.w'] + 1.0\n"
+              "    grads['embedding.w'][...] += 1.0\n"
               "    return components, grads\n"
               "t.loss_and_grads = corrupted\n"
               f"runpy.run_path({demo!r}, run_name='__main__')\n")

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import json
 import re
 import tracemalloc
 import warnings
+from operator import delitem, setitem
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from aerosurrogate.autodiff import Tensor
 from aerosurrogate.model import (ModelConfig, init_model, forward,
                                  forward_graph, predict_denormalized,
                                  save_checkpoint, load_checkpoint,
-                                 CheckpointError)
+                                 CheckpointError, _layout)
 from aerosurrogate.pointcloud import (PointCloud, SampleFormatError,
                                       compute_stats, normalize)
 from aerosurrogate.datagen import ShapeSpec, generate_sample
@@ -293,6 +295,19 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=re.escape(f"{path}: ")):
                 load_checkpoint(path)
 
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_payload_is_the_flat_array_little_endian(self, tmp_path,
+                                                     precision):
+        state = init_model(tiny_config(layers=2, precision=precision))
+        save_checkpoint(state, tmp_path / "m.bin")
+        data = (tmp_path / "m.bin").read_bytes()
+        end = data.index(b"\n") + 1
+        payload = data[end + (-end % 64):-4]
+        little = np.dtype(state.config.dtype).newbyteorder("<")
+        assert payload == state.params.flat.astype(little).tobytes()
+        np.testing.assert_array_equal(np.frombuffer(payload, little),
+                                      state.params.flat)
+
     def test_header_holds_version_config_stats_only(self, tmp_path):
         save_checkpoint(init_model(tiny_config()), tmp_path / "m.bin")
         data = (tmp_path / "m.bin").read_bytes()
@@ -347,22 +362,43 @@ class TestParameterLayout:
         for name, arr in state.params.items():
             np.testing.assert_array_equal(loaded.params[name], arr)
 
-    @pytest.mark.parametrize("edit,match", [
-        (lambda p: p.update({"embedding.w": p["embedding.w"].reshape(4, 7)}),
-         r"^parameter embedding.w: float64 \(4, 7\) differs from its slot, "
-         r"float64 \(7, 4\)$"),
-        (lambda p: p.update({"embedding.b": p["embedding.b"].astype(np.float32)}),
-         r"^parameter embedding.b: float32 \(4,\) differs from its slot, "
-         r"float64 \(4,\)$"),
-        (lambda p: p.pop("head.drag.b2"),
-         r"^parameters \['head.drag.b2'\] differ from the config's layout$"),
-        (lambda p: p.update({"bogus": np.zeros(1)}),
-         r"^parameters \['bogus'\] differ from the config's layout$"),
+    @pytest.mark.parametrize("edit", [
+        lambda p: setitem(p, "embedding.w", p["embedding.w"].reshape(4, 7)),
+        lambda p: setitem(p, "embedding.b", p["embedding.b"].astype(np.float32)),
+        lambda p: delitem(p, "head.drag.b2"),
+        lambda p: setitem(p, "bogus", np.zeros(1)),
     ], ids=["shape", "dtype", "missing", "unknown"])
     def test_save_refuses_parameters_differing_from_layout(self, tmp_path,
-                                                           edit, match):
+                                                           edit):
+        """Rebinding, adding or popping a name raises TypeError, so a saved
+        checkpoint always holds exactly the config's layout."""
         state = init_model(tiny_config())
-        edit(state.params)
-        with pytest.raises(ValueError, match=match):
-            save_checkpoint(state, tmp_path / "c.bin")
-        assert not (tmp_path / "c.bin").exists()
+        with pytest.raises(TypeError):
+            edit(state.params)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.params = {}
+        assert list(state.params) == list(_layout(state.config))
+        save_checkpoint(state, tmp_path / "c.bin")
+        loaded = load_checkpoint(tmp_path / "c.bin")
+        for (name, arr), (slot_name, slot) in zip(
+                loaded.params.items(), _layout(state.config).items()):
+            assert name == slot_name
+            assert arr.shape == slot.shape and arr.dtype == state.config.dtype
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_every_view_shares_the_flat_array_at_its_offset(self, precision):
+        state = init_model(tiny_config(layers=2, heads=2, precision=precision))
+        flat, offset = state.params.flat, 0
+        assert flat.dtype == state.config.dtype and flat.ndim == 1
+        for (name, view), (slot_name, slot) in zip(
+                state.params.items(), _layout(state.config).items()):
+            assert name == slot_name and view.shape == slot.shape
+            size = view.size
+            assert np.shares_memory(view, flat), name
+            view_start = (view.__array_interface__["data"][0]
+                          - flat.__array_interface__["data"][0])
+            assert view_start == offset * flat.itemsize, name
+            np.testing.assert_array_equal(view.reshape(-1),
+                                          flat[offset:offset + size])
+            offset += size
+        assert offset == flat.size

@@ -1,13 +1,16 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from aerosurrogate.autodiff import Tensor
 from aerosurrogate.datagen import DatasetSpec, generate_records
-from aerosurrogate.model import (ModelConfig, forward_graph, init_model,
-                                 load_checkpoint)
-from aerosurrogate.pointcloud import normalize
+from aerosurrogate.model import (ModelConfig, Params, forward_graph,
+                                 init_model, load_checkpoint)
+from aerosurrogate.physatt import Slot
+from aerosurrogate.pointcloud import compute_stats, normalize
 from aerosurrogate.training import (
     AdamState, DegenerateTargetError, GradCheckReport, LossWeights,
     TrainConfig, adam_step, composite_loss_t, grad_check, loss_and_grads,
@@ -146,6 +149,17 @@ class TestTotalLoss:
         for key in ("pressure", "velocity"):
             np.testing.assert_allclose(grads[key], want[key], atol=1e-12)
 
+    @pytest.mark.parametrize("target", ["pressure", "velocity"])
+    def test_zero_target_names_sample_and_target(self, target):
+        rec = tiny_dataset(1)[0]
+        zeroed = dataclasses.replace(rec, id="wing_7", **{
+            target: np.zeros_like(getattr(rec, target))})
+        state = init_model(tiny_model_config(precision="f64"))
+        with pytest.raises(DegenerateTargetError, match=re.escape(
+                f"sample 'wing_7': {target} target norm is zero; "
+                "relative L2 undefined")):
+            loss_and_grads(state, zeroed, LossWeights())
+
     def test_weights_validation(self):
         with pytest.raises(ValueError):
             LossWeights(velocity=0.0, pressure=0.0, drag=0.0)
@@ -153,37 +167,37 @@ class TestTotalLoss:
             LossWeights(velocity=-1.0)
 
 
+def two_slots(w, b):
+    """Params "w" (1,) and "b" (2,) over one float64 array."""
+    return Params({"w": Slot((1,)), "b": Slot((2,))},
+                  np.array([*w, *b], dtype=np.float64))
+
+
 class TestAdam:
     def make(self):
-        params = {"w": np.array([0.0]), "b": np.array([1.0, -1.0])}
+        params = two_slots([0.0], [1.0, -1.0])
         return params, AdamState.fresh(params), TrainConfig(epochs=1)
 
     def test_zero_gradient_identity(self):
         params, moments, cfg = self.make()
-        adam_step(params, {"w": np.zeros(1), "b": np.zeros(2)}, moments, cfg)
+        adam_step(params, two_slots([0.0], [0.0, 0.0]), moments, cfg)
         np.testing.assert_array_equal(params["w"], [0.0])
         np.testing.assert_array_equal(params["b"], [1.0, -1.0])
 
     def test_first_step_magnitude(self):
         params, moments, cfg = self.make()
-        adam_step(params, {"w": np.ones(1), "b": np.zeros(2)}, moments, cfg)
+        adam_step(params, two_slots([1.0], [0.0, 0.0]), moments, cfg)
         # bias-corrected first step is -lr * g/(|g| + eps') ~= -lr
         assert params["w"][0] == pytest.approx(-cfg.learning_rate, rel=1e-3)
 
     def test_nonfinite_gradient_named(self):
         params, moments, cfg = self.make()
         with pytest.raises(FloatingPointError, match="'b'"):
-            adam_step(params, {"w": np.zeros(1), "b": np.array([np.nan, 0.0])},
-                      moments, cfg)
-
-    def test_missing_gradient_raises(self):
-        params, moments, cfg = self.make()
-        with pytest.raises(KeyError, match="'b'"):
-            adam_step(params, {"w": np.ones(1)}, moments, cfg)
+            adam_step(params, two_slots([0.0], [np.nan, 0.0]), moments, cfg)
 
     def test_hand_computed_second_step(self):
         params, moments, cfg = self.make()
-        g = {"w": np.array([0.5]), "b": np.zeros(2)}
+        g = two_slots([0.5], [0.0, 0.0])
         adam_step(params, g, moments, cfg)
         adam_step(params, g, moments, cfg)
         # independent evaluation of two bias-corrected updates
@@ -194,6 +208,73 @@ class TestAdam:
             v = b2 * v + (1 - b2) * 0.25
             theta -= lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
         assert params["w"][0] == pytest.approx(theta, abs=1e-15)
+
+
+def oracle_adam_step(params, grads, moments, config):
+    """The per-tensor Adam update over dicts of arrays that the flat update
+    replaced: moments is a dict with dicts "m" and "v" and a count "t"."""
+    moments["t"] += 1
+    t = moments["t"]
+    b1, b2 = config.beta1, config.beta2
+    for name, p in params.items():
+        g = grads[name].astype(p.dtype, copy=False)
+        m = moments["m"][name] = b1 * moments["m"][name] + (1 - b1) * g
+        v = moments["v"][name] = b2 * moments["v"][name] + (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        p -= (config.learning_rate * m_hat /
+              (np.sqrt(v_hat) + config.eps)).astype(p.dtype, copy=False)
+
+
+def desk_model(precision):
+    """The desk profile (L=2, C=64, M=16, H=4) and two normalized samples."""
+    raw = generate_records(DatasetSpec(n_samples=2, n_surface=512,
+                                       n_volume=256, seed=4))
+    stats = compute_stats(raw)
+    state = init_model(ModelConfig(layers=2, channels=64, slices=16, heads=4,
+                                   geom_width=6, seed=0, precision=precision),
+                       stats)
+    return state, [normalize(r, stats) for r in raw]
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_forty_steps_bit_equal_to_per_tensor_oracle(self, precision):
+        state, records = desk_model(precision)
+        config = TrainConfig(seed=1)
+        oracle = {name: a.copy() for name, a in state.params.items()}
+        oracle_moments = {"m": {k: np.zeros_like(a) for k, a in oracle.items()},
+                          "v": {k: np.zeros_like(a) for k, a in oracle.items()},
+                          "t": 0}
+        moments = AdamState.fresh(state.params)
+        for step in range(40):
+            _, grads = loss_and_grads(state, records[step % 2], LossWeights())
+            oracle_adam_step(oracle, {k: g.copy() for k, g in grads.items()},
+                             oracle_moments, config)
+            adam_step(state.params, grads, moments, config)
+        assert moments.t == oracle_moments["t"] == 40
+        m = Params(state.params.layout, moments.m)
+        v = Params(state.params.layout, moments.v)
+        for name, a in oracle.items():
+            assert state.params[name].tobytes() == a.tobytes(), name
+            assert m[name].tobytes() == oracle_moments["m"][name].tobytes(), name
+            assert v[name].tobytes() == oracle_moments["v"][name].tobytes(), name
+
+    def test_nonfinite_gradient_changes_nothing(self):
+        state, records = desk_model("f32")
+        config = TrainConfig(seed=1)
+        moments = AdamState.fresh(state.params)
+        train_step(state, records[0], LossWeights(), moments, config)
+        _, grads = loss_and_grads(state, records[1], LossWeights())
+        grads["head.velocity.b2"][1] = np.inf
+        before = (state.params.flat.copy(), moments.m.copy(),
+                  moments.v.copy(), moments.t)
+        with pytest.raises(FloatingPointError, match=re.escape(
+                "non-finite gradient for tensor 'head.velocity.b2'")):
+            adam_step(state.params, grads, moments, config)
+        for was, now in zip(before, (state.params.flat, moments.m, moments.v)):
+            np.testing.assert_array_equal(now, was)
+        assert moments.t == before[3] == 1
 
 
 def tiny_dataset(n=1):
@@ -339,7 +420,7 @@ class TestGradCheck:
 
         def corrupted(*args):
             components, grads = exact(*args)
-            grads["embedding.w"] = grads["embedding.w"] + 1.0
+            grads["embedding.w"][...] += 1.0
             return components, grads
 
         monkeypatch.setattr(training, "loss_and_grads", corrupted)
