@@ -35,13 +35,10 @@ class Tensor:
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into the grad of every reachable leaf
-        with requires_grad set. The graph is consumed on the way: each
-        interior node's grad is cleared once its backward has run, so
-        interior gradients are freed as the walk goes, and every node's
-        parents and closure (with the activations a closure saved) are
-        cleared when the walk ends, even while the caller still holds the
-        output. Leaf gradients are kept; a second backward() through the
-        same interior nodes finds no graph."""
+        with requires_grad set, consuming the graph in the one walk: once
+        a node's backward has run, its grad, parents and closure (with the
+        activations it saved) are cleared, even while the caller holds the
+        output. A second backward() through those nodes finds no graph."""
         if self.value.size != 1:
             raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
@@ -68,13 +65,7 @@ class Tensor:
                 continue
             if node.grad is not None:
                 node._backward(node.grad)
-            node.grad = None
-        # the activations are released only now: freed one node at a time
-        # in reverse creation order, they let malloc hand the heap top back
-        # to the OS, and the gradients allocated next fault it in again
-        # (over twice the page faults of a desk-profile step)
-        for node in topo:
-            node._parents, node._backward = (), None
+            node.grad, node._parents, node._backward = None, (), None
 
 
 def as_tensor(x) -> Tensor:
@@ -84,9 +75,14 @@ def as_tensor(x) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
-    # the first gradient is kept as given and may share memory with
-    # another node's, so gradients are never updated in place
-    t.grad = g if t.grad is None else t.grad + g
+    if t._parents:
+        # an interior node's first gradient is kept as given and may share
+        # memory with another node's, so it is never updated in place
+        t.grad = g if t.grad is None else t.grad + g
+    elif t.grad is None:
+        t.grad = np.array(g)    # a leaf owns its gradient and adds into it
+    else:
+        t.grad += g
 
 
 def _operands(a, b) -> tuple[Tensor, Tensor]:

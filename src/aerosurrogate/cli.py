@@ -298,8 +298,8 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, FloatingPointError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, FloatingPointError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2 if isinstance(e, ConfigError) else 1
 
 

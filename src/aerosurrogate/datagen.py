@@ -65,6 +65,10 @@ class ShapeSpec:
                 f"semi-axes ({self.a:g}, {self.b:g}, {self.c:g}) with r_max "
                 f"{self.r_max:g}: a^2, b^2, c^2, their inverses and "
                 "(r_max*R)^3 must be finite and non-zero")
+        if not 8 / squares[2] / squares[2] < math.inf:
+            raise ValueError(
+                f"semi-axes ({self.a:g}, {self.b:g}, {self.c:g}): 8/c^4, the "
+                "largest term of the analytic mean curvature, must be finite")
 
     @property
     def equivalent_radius(self) -> float:
@@ -225,9 +229,9 @@ def generate_records(dspec: DatasetSpec) -> list[SampleRecord]:
 
 def generate_dataset(dspec: DatasetSpec, out_dir) -> Path:
     """Write a full dataset tree with manifest and 80/20 split assignment."""
+    records = generate_records(dspec)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = generate_records(dspec)
     dirs = []
     splits = {}
     for rec in records:

@@ -182,9 +182,7 @@ def forward_graph(state: ModelState, surface: PointCloud,
 
     n_s = surface.n_points
     feats = [_input_features(config, surface)]
-    n_v = 0
-    if volume is not None and volume.n_points > 0:
-        n_v = volume.n_points
+    if volume is not None:
         feats.append(_input_features(config, volume))
     x = Tensor(np.concatenate(feats, axis=0))
 
@@ -197,10 +195,8 @@ def forward_graph(state: ModelState, surface: PointCloud,
     pooled = ad.mean(surf_feats, axis=0, keepdims=True)
     drag = ad.reshape(_mlp_t(pooled, t, "head.drag"), ())
     pressure = ad.reshape(_mlp_t(surf_feats, t, "head.pressure"), (n_s,))
-    velocity = None
-    if n_v:
-        vol_feats = ad.getitem(x, slice(n_s, n_s + n_v))
-        velocity = _mlp_t(vol_feats, t, "head.velocity")
+    velocity = None if volume is None else _mlp_t(
+        ad.getitem(x, slice(n_s, None)), t, "head.velocity")
     return drag, pressure, velocity
 
 
@@ -223,9 +219,8 @@ def predict_denormalized(state: ModelState, surface: PointCloud,
     predictions back to physical units."""
     s = state.stats
     surf = normalize_cloud(surface, s.position_center, s.position_scale)
-    vol = None
-    if volume is not None and volume.n_points > 0:
-        vol = normalize_cloud(volume, s.position_center, s.position_scale)
+    vol = None if volume is None else normalize_cloud(
+        volume, s.position_center, s.position_scale)
     pred = forward(state, surf, vol)
     return Prediction(
         drag=pred.drag * s.drag_std + s.drag_mean,

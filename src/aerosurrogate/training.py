@@ -132,7 +132,7 @@ def adam_step(params: Params, grads: Params, moments: AdamState,
         raise FloatingPointError(f"non-finite gradient for tensor {bad!r}")
     moments.t += 1
     b1, b2 = config.beta1, config.beta2
-    g = grads.flat.astype(params.flat.dtype, copy=False)
+    g = grads.flat
     m = moments.m = b1 * moments.m + (1 - b1) * g
     v = moments.v = b2 * moments.v + (1 - b2) * g * g
     m_hat = m / (1 - b1 ** moments.t)
@@ -152,17 +152,19 @@ class TrainResult:
 def loss_and_grads(state: ModelState, record: SampleRecord,
                    weights: LossWeights) -> tuple[dict, Params]:
     """The composite loss of one normalized sample (its components and
-    loss_total) and its gradient for every parameter, zero where unreached."""
-    params_t = {name: Tensor(arr, requires_grad=True)
-                for name, arr in state.params.items()}
+    loss_total) and its gradient, which the backward adds into each
+    parameter's view of one zeroed array (zero where unreached)."""
+    grads = Params(state.params.layout, np.zeros_like(state.params.flat))
+    params_t = {}
+    for name, arr in state.params.items():
+        params_t[name] = t = Tensor(arr, requires_grad=True)
+        t.grad = grads[name]
     loss, components = _loss_graph(state, record, weights, params_t)
     if not np.isfinite(loss.value):
         raise FloatingPointError(f"non-finite loss on sample {record.id!r}")
     loss.backward()
     components["loss_total"] = float(loss.value)
-    return components, Params(state.params.layout, np.concatenate(
-        [(t.grad if t.grad is not None else np.zeros_like(t.value)).reshape(-1)
-         for t in params_t.values()], dtype=state.params.flat.dtype))
+    return components, grads
 
 
 def train_step(state: ModelState, record: SampleRecord, weights: LossWeights,

@@ -231,3 +231,39 @@ class TestBackwardReleasesGraph:
 
     def test_leaf_gradients_match_finite_differences(self):
         fd_check(block, *BLOCK_INPUTS)
+
+    def test_each_node_released_as_its_backward_runs(self):
+        x = Tensor(np.array(2.0), requires_grad=True)
+        seen = []
+
+        def probe_backward(g):
+            # `later` was created after the probe, so its backward ran first
+            seen.append((later._parents, later._backward, later.grad))
+            ad._accum(x, g)
+
+        probe = Tensor(np.array(2.0), parents=(x,), backward=probe_backward)
+        later = ad.mul(probe, 3.0)
+        later.backward()
+        assert seen == [((), None, None)]
+        assert float(x.grad) == 3.0
+
+
+class TestLeafGradients:
+    def test_leaf_adds_into_the_array_it_holds(self):
+        arena = np.zeros(5)
+        leaf = Tensor(np.ones(3), requires_grad=True)
+        leaf.grad = arena[1:4]
+        ad._accum(leaf, np.array([1.0, 2.0, 3.0]))
+        ad._accum(leaf, np.array([10.0, 20.0, 30.0]))
+        np.testing.assert_array_equal(arena, [0.0, 11.0, 22.0, 33.0, 0.0])
+        assert np.shares_memory(leaf.grad, arena)
+
+    def test_first_gradient_never_written(self):
+        leaf = Tensor(np.zeros(3), requires_grad=True)
+        interior = ad.mul(leaf, 2.0)
+        for node in (leaf, interior):
+            first = np.array([1.0, 2.0, 3.0])
+            ad._accum(node, first)
+            ad._accum(node, np.ones(3))
+            np.testing.assert_array_equal(first, [1.0, 2.0, 3.0])
+            np.testing.assert_array_equal(node.grad, [2.0, 3.0, 4.0])

@@ -59,13 +59,19 @@ class TestGenData:
         assert err.startswith("error: ")
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("settings", [
-        {"a_min": 1e308, "a_max": 1e308}, {"c_min": 1e-200, "c_max": 1e-200},
-        {"r_max": float("inf")}], ids=["a_1e308", "c_1e-200", "r_max_inf"])
+    @pytest.mark.parametrize("settings,ending", [
+        ({"a_min": 1e308, "a_max": 1e308}, "must be finite and non-zero\n"),
+        ({"c_min": 1e-200, "c_max": 1e-200}, "must be finite and non-zero\n"),
+        ({"r_max": float("inf")}, "must be finite and non-zero\n"),
+        ({"c_min": 1e-100, "c_max": 1e-100},
+         "8/c^4, the largest term of the analytic mean curvature, must be "
+         "finite\n")],
+        ids=["a_1e308", "c_1e-200", "r_max_inf", "c_1e-100"])
     def test_overflowing_shape_setting_is_config_error(self, tmp_path, capsys,
-                                                       settings):
-        # these raised OverflowError or ZeroDivisionError, or warned, and
-        # left --out behind as an empty directory
+                                                       settings, ending):
+        # these raised OverflowError or ZeroDivisionError, or warned (c_1e-100
+        # exited 1 with "non-finite target value"), and left --out behind as
+        # an empty directory
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(settings))
         with warnings.catch_warnings():
@@ -75,7 +81,24 @@ class TestGenData:
                                   "--out", str(tmp_path / "d")], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: semi-axes (") and err.count("\n") == 1
-        assert err.endswith("must be finite and non-zero\n")
+        assert err.endswith(ending)
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError("Unable to allocate 2.24 GiB for an array with shape "
+                     "(300000000,) and data type float64"),
+         "Unable to allocate 2.24 GiB for an array with shape (300000000,) "
+         "and data type float64"),
+        (MemoryError(), "MemoryError")], ids=["numpy", "bare"])
+    def test_memory_error_exits_1_without_traceback(self, tmp_path, capsys,
+                                                    monkeypatch, exc, message):
+        def fail(dspec):
+            raise exc
+
+        monkeypatch.setattr("aerosurrogate.datagen.generate_records", fail)
+        code, out, err = run(["gen-data", "--n", "1", "--out",
+                              str(tmp_path / "d")], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
         assert not (tmp_path / "d").exists()
 
     def test_repeat_identical_tree(self, tmp_path):

@@ -51,6 +51,21 @@ class TestShapeSpec:
         with pytest.raises(ValueError, match="must be finite and non-zero"):
             DatasetSpec(n_samples=1, **ranges)
 
+    def test_curvature_term_overflow_refused(self):
+        # 8/c^4 overflows although c^2 and 1/c^2 are finite
+        with pytest.raises(ValueError, match=re.escape(
+                "semi-axes (1, 1, 1e-100): 8/c^4, the largest term of the "
+                "analytic mean curvature, must be finite")):
+            ShapeSpec(1.0, 1.0, 1e-100)
+        with pytest.raises(ValueError, match=re.escape("8/c^4")):
+            DatasetSpec(n_samples=1, c_range=(1e-100, 1e-100))
+
+    def test_smallest_c_with_finite_curvature_terms_generates(self):
+        with np.errstate(all="raise"):
+            rec = generate_sample(ShapeSpec(1.0, 1.0, 1e-76, n_surface=64,
+                                            n_volume=4))
+        assert np.all(np.isfinite(rec.pressure))
+
     def test_equivalent_radius(self):
         spec = ShapeSpec(a=2.0, b=1.0, c=0.5)
         assert spec.equivalent_radius == pytest.approx(1.0)
@@ -225,6 +240,16 @@ class TestSampleAndDataset:
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == \
                 (tmp_path / "b" / rel).read_bytes()
+
+    def test_failed_generation_leaves_no_directory(self, tmp_path,
+                                                   monkeypatch):
+        def fail(dspec):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr("aerosurrogate.datagen.generate_records", fail)
+        with pytest.raises(MemoryError):
+            generate_dataset(DatasetSpec(n_samples=1), tmp_path / "d")
+        assert not (tmp_path / "d").exists()
 
     def test_loader_round_trip(self, tmp_path):
         dspec = DatasetSpec(n_samples=2, n_surface=32, n_volume=16, seed=1)

@@ -13,8 +13,8 @@ from aerosurrogate.physatt import Slot
 from aerosurrogate.pointcloud import compute_stats, normalize
 from aerosurrogate.training import (
     AdamState, DegenerateTargetError, GradCheckReport, LossWeights,
-    TrainConfig, adam_step, composite_loss_t, grad_check, loss_and_grads,
-    relative_l2, train, train_step, write_loss_csv)
+    TrainConfig, _loss_graph, adam_step, composite_loss_t, grad_check,
+    loss_and_grads, relative_l2, train, train_step, write_loss_csv)
 from tests.test_pointcloud import make_record
 
 
@@ -392,6 +392,23 @@ class TestLossAndGrads:
         loss, parts = composite_loss_t(
             *forward_graph(state, rec.surface, rec.volume), rec, LossWeights())
         assert components == {**parts, "loss_total": float(loss.value)}
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_arena_bit_equal_to_per_leaf_assembly(self, precision):
+        # the assembly loss_and_grads replaced: leaves that own their
+        # gradients, concatenated afterwards, zero where unreached
+        state, records = desk_model(precision)
+        _, grads = loss_and_grads(state, records[0], LossWeights())
+        params_t = {name: Tensor(arr, requires_grad=True)
+                    for name, arr in state.params.items()}
+        loss, _ = _loss_graph(state, records[0], LossWeights(), params_t)
+        loss.backward()
+        old = np.concatenate(
+            [(t.grad if t.grad is not None else np.zeros_like(t.value))
+             .reshape(-1) for t in params_t.values()],
+            dtype=state.params.flat.dtype)
+        assert grads.flat.dtype == old.dtype
+        assert grads.flat.tobytes() == old.tobytes()
 
     def test_train_step_steps_on_its_gradients(self):
         state, rec = self.make("f64")
