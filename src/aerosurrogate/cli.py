@@ -109,10 +109,8 @@ def _model_config(cfg: dict) -> ModelConfig:
 def _train_config(cfg: dict) -> TrainConfig:
     weights = _build(LossWeights, velocity=cfg["lambda_v"],
                      pressure=cfg["lambda_p"], drag=cfg["lambda_cd"])
-    return _build(TrainConfig, epochs=cfg["epochs"],
-                  learning_rate=cfg["learning_rate"], beta1=cfg["beta1"],
-                  beta2=cfg["beta2"], eps=cfg["eps"], seed=cfg["seed"],
-                  weights=weights)
+    return _build(TrainConfig, weights=weights, **{
+        f.name: cfg[f.name] for f in fields(TrainConfig) if f.name != "weights"})
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +181,7 @@ def cmd_evaluate(args) -> int:
     records = {"train": train_recs, "val": val_recs,
                "all": train_recs + val_recs}[args.split]
     if not records:
-        print(f"error: split {args.split!r} is empty", file=sys.stderr)
-        return 1
+        raise ValueError(f"split {args.split!r} is empty")
     report = evaluate(state, records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

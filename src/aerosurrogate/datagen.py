@@ -130,11 +130,10 @@ def potential_flow_velocity(points: np.ndarray, radius: float) -> np.ndarray:
     e_r = points / r[:, None]
     cos_theta = e_r[:, 0]
     ratio = (radius / r) ** 3
-    v_r = cos_theta * (1.0 - ratio)
-    v_theta = -np.sqrt(np.maximum(0.0, 1.0 - cos_theta ** 2)) \
-        * (1.0 + 0.5 * ratio)
-    # e_theta = (e_r cos(theta) - x_hat)/sin(theta); guard the axis
     sin_theta = np.sqrt(np.maximum(0.0, 1.0 - cos_theta ** 2))
+    v_r = cos_theta * (1.0 - ratio)
+    v_theta = -sin_theta * (1.0 + 0.5 * ratio)
+    # e_theta = (e_r cos(theta) - x_hat)/sin(theta); guard the axis
     x_hat = np.array([1.0, 0.0, 0.0])
     with np.errstate(invalid="ignore", divide="ignore"):
         e_theta = (e_r * cos_theta[:, None] - x_hat) / sin_theta[:, None]

@@ -12,6 +12,7 @@ import numpy as np
 
 from .model import ModelState, predict_denormalized
 from .pointcloud import SampleRecord
+from .training import _target_norm
 
 
 def _check(y, y_hat):
@@ -52,14 +53,11 @@ def r2(y, y_hat) -> float:
 
 
 def rel_errors(y, y_hat) -> tuple[float, float]:
-    """(relative L2 percent, relative L1 percent) over all entries."""
+    """(relative L2 percent, relative L1 percent) over all entries; a
+    target the loss's norm check refuses is a DegenerateTargetError."""
     y, y_hat = _check(y, y_hat)
-    norm2 = float(np.linalg.norm(y))
-    norm1 = float(np.abs(y).sum())
-    if norm2 <= 0 or norm1 <= 0:
-        raise ValueError("relative errors undefined for zero-norm targets")
-    return (100.0 * float(np.linalg.norm(y - y_hat)) / norm2,
-            100.0 * float(np.abs(y - y_hat).sum()) / norm1)
+    return (100.0 * float(np.linalg.norm(y - y_hat)) / _target_norm(y),
+            100.0 * float(np.abs(y - y_hat).sum()) / float(np.abs(y).sum()))
 
 
 def _task_metrics(y, y_hat, with_r2=False) -> dict:

@@ -64,10 +64,11 @@ class Params(Mapping):
     views are written in place; no name can be rebound, added or removed."""
 
     def __init__(self, layout: dict[str, Slot], flat: np.ndarray):
-        self.layout, self.flat = layout, flat
-        ends = np.cumsum([math.prod(slot.shape) for slot in layout.values()])
-        self._views = {name: part.reshape(slot.shape) for (name, slot), part
-                       in zip(layout.items(), np.split(flat, ends[:-1]))}
+        self.layout, self.flat, self._views, start = layout, flat, {}, 0
+        for name, slot in layout.items():
+            end = start + math.prod(slot.shape)
+            self._views[name] = flat[start:end].reshape(slot.shape)
+            start = end
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -93,9 +94,6 @@ class ModelState:
     config: ModelConfig
     stats: NormalizationStats
     params: Params
-
-    def layer_params(self, i: int) -> LayerParams:
-        return LayerParams.lookup(self.params, f"layers.{i}.", self.config.heads)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def mix64(z: int) -> int:
-    """Finalization mix of SplitMix64 (Steele, Lea & Flood)."""
+def mix64(z):
+    """Finalization mix of SplitMix64 (Steele, Lea & Flood), of an int or,
+    elementwise, of a uint64 array."""
     z &= _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -42,9 +43,7 @@ class SplitMix64:
             k = np.arange(1, n + 1, dtype=np.uint64)
             z = np.uint64(self._state) + np.uint64(_GAMMA) * k
             self._state = (self._state + _GAMMA * n) & _MASK
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            return z ^ (z >> np.uint64(31))
+            return mix64(z)
 
     def uniform_array(self, n: int) -> np.ndarray:
         """Vectorized uniform doubles in [0, 1)."""

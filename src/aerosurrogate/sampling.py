@@ -145,7 +145,7 @@ def sample_adaptive(cloud: PointCloud, config: SamplingConfig) -> list[int]:
 
     remaining = np.flatnonzero(~selected)
     n_rest = n - n_curv
-    if n_rest > 0 and len(remaining) > 0:
+    if n_rest > 0:
         pos = cloud.positions
         lo = pos.min(axis=0)
         hi = pos.max(axis=0)
@@ -156,13 +156,11 @@ def sample_adaptive(cloud: PointCloud, config: SamplingConfig) -> list[int]:
         cell_ids = (cells[:, 0] * g + cells[:, 1]) * g + cells[:, 2]
         # group remaining points by lexicographic cell index
         order = np.argsort(cell_ids, kind="stable")
-        sorted_ids = cell_ids[order]
-        uniq, starts = np.unique(sorted_ids, return_index=True)
+        _, starts, occupancy = np.unique(cell_ids[order], return_index=True,
+                                         return_counts=True)
         groups = np.split(remaining[order], starts[1:])
-        occupancy = np.array([len(grp) for grp in groups], dtype=np.float64)
-        weights = np.ceil(np.sqrt(occupancy))
-        quota = _largest_remainder(weights, n_rest)
-        quota = np.minimum(quota, occupancy.astype(np.int64))
+        quota = _largest_remainder(np.ceil(np.sqrt(occupancy)), n_rest)
+        quota = np.minimum(quota, occupancy)
         rng = SplitMix64(config.seed)
         for grp, q in zip(groups, quota):
             if q <= 0:

@@ -327,6 +327,16 @@ class TestTrainPredictEvaluate:
                      "--out", str(tmp_path_local / "e")])
         assert code == 1
 
+    def test_empty_split_is_runtime_error(self, tmp_path, capsys):
+        data = gen(tmp_path, n=3)   # all three samples are "train"
+        ckpt = tiny_checkpoint(tmp_path / "m.bin")
+        capsys.readouterr()
+        code, out, err = run(["evaluate", "--checkpoint", str(ckpt),
+                              "--data", str(data), "--out",
+                              str(tmp_path / "e")], capsys)
+        assert (code, out, err) == (1, "", "error: split 'val' is empty\n")
+        assert not (tmp_path / "e").exists()
+
 
 class TestOverflowingCoordinates:
     """A cloud whose squared distances overflow float64 is a sample-file

@@ -8,6 +8,7 @@ from aerosurrogate.metrics import (MetricReport, evaluate,
                                    evaluate_predictions, mae, max_ae, mse,
                                    r2, rel_errors)
 from aerosurrogate.model import ModelConfig, init_model
+from aerosurrogate.training import DegenerateTargetError
 
 
 class TestPointwiseMetrics:
@@ -87,6 +88,12 @@ class TestRelErrors:
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
             rel_errors(np.zeros(3), np.ones(3))
+
+    def test_norm_below_loss_floor_rejected(self):
+        """The loss's target-norm check, not a second one: a norm below
+        its 1e-30 floor is refused, not turned into a huge percentage."""
+        with pytest.raises(DegenerateTargetError):
+            rel_errors(np.array([1e-31, 0.0]), np.zeros(2))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)

@@ -17,6 +17,7 @@ from aerosurrogate.model import (ModelConfig, init_model, forward,
 from aerosurrogate.pointcloud import (PointCloud, SampleFormatError,
                                       compute_stats, normalize)
 from aerosurrogate.datagen import ShapeSpec, generate_sample
+from aerosurrogate.physatt import LayerParams
 from aerosurrogate.rng import SplitMix64
 from tests.test_physatt import oracle_layer, oracle_layer_norm, oracle_gelu
 
@@ -114,7 +115,7 @@ class TestForward:
                              np.zeros((2, 1))])
         x = np.vstack([feats_s, feats_v])
         x = x @ state.params["embedding.w"] + state.params["embedding.b"]
-        x = oracle_layer(x, state.layer_params(0))
+        x = oracle_layer(x, LayerParams.lookup(state.params, "layers.0.", 1))
 
         def head(prefix, feats):
             h = oracle_gelu(feats @ state.params[f"{prefix}.w1"]
