@@ -12,7 +12,21 @@ import numpy as np
 
 from .model import ModelState, predict_denormalized
 from .pointcloud import SampleRecord
-from .training import _target_norm
+
+_NORM_FLOOR = 1e-30
+
+
+class DegenerateTargetError(ValueError):
+    """Relative L2 undefined: target norm is (numerically) zero."""
+
+
+def _target_norm(y: np.ndarray, name: str = "target") -> float:
+    """||y||_2 in float64, the denominator of the relative L2; the error
+    for a zero norm calls y name."""
+    denom = float(np.linalg.norm(np.asarray(y, dtype=np.float64)))
+    if denom < _NORM_FLOOR:
+        raise DegenerateTargetError(f"{name} norm is zero; relative L2 undefined")
+    return denom
 
 
 def _check(y, y_hat):

@@ -20,11 +20,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .physatt import LayerParams, Slot, attention_block_t, layer_layout
 from .pointcloud import (NormalizationStats, PointCloud, SampleFormatError,
-                         normalize_cloud)
+                         normalize_clouds)
 from .rng import SplitMix64
 
 CHECKPOINT_MAGIC = b"PASURF01"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _ALIGN = 64
 
 
@@ -168,10 +168,10 @@ def forward_graph(state: ModelState, surface: PointCloud,
     """The forward pass, for training and inference alike.
 
     Returns (drag, pressure, velocity) Tensors; velocity is None when no
-    volume points are supplied. Inputs are assumed already normalized with
-    the model's stats. params_t maps parameter names to Tensors with
-    requires_grad set (training), and the outputs then carry the graph
-    that backward() differentiates. By default the ndarrays of
+    volume points are supplied. Inputs are assumed already in the
+    surface's frame (normalize_clouds). params_t maps parameter names to
+    Tensors with requires_grad set (training), and the outputs then carry
+    the graph that backward() differentiates. By default the ndarrays of
     state.params are used: no gradient can flow, so no graph is recorded
     and the outputs are plain value Tensors.
     """
@@ -213,13 +213,10 @@ def forward(state: ModelState, surface: PointCloud,
 
 def predict_denormalized(state: ModelState, surface: PointCloud,
                          volume: PointCloud | None) -> Prediction:
-    """Normalize raw clouds with the stored stats, run forward, and map
-    predictions back to physical units."""
+    """Map raw clouds into the surface's frame, run forward, and map
+    predictions back to physical units with the stored stats."""
     s = state.stats
-    surf = normalize_cloud(surface, s.position_center, s.position_scale)
-    vol = None if volume is None else normalize_cloud(
-        volume, s.position_center, s.position_scale)
-    pred = forward(state, surf, vol)
+    pred = forward(state, *normalize_clouds(surface, volume))
     return Prediction(
         drag=pred.drag * s.drag_std + s.drag_mean,
         pressure=pred.pressure * s.pressure_std + s.pressure_mean,

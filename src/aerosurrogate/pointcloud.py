@@ -119,13 +119,12 @@ class SampleRecord:
 
 @dataclass(frozen=True)
 class NormalizationStats:
-    """Position centering/scaling plus per-channel target standardization.
+    """Per-channel target standardization. Positions need no statistics:
+    normalize_clouds maps each sample into its own frame.
 
     Target channel order: pressure (1), velocity (3), drag (1).
     """
 
-    position_center: np.ndarray      # (3,)
-    position_scale: float
     pressure_mean: float
     pressure_std: float
     velocity_mean: np.ndarray        # (3,)
@@ -134,14 +133,10 @@ class NormalizationStats:
     drag_std: float
 
     def __post_init__(self):
-        object.__setattr__(self, "position_center",
-                           np.asarray(self.position_center, dtype=np.float64).reshape(3))
         object.__setattr__(self, "velocity_mean",
                            np.asarray(self.velocity_mean, dtype=np.float64).reshape(3))
         object.__setattr__(self, "velocity_std",
                            np.asarray(self.velocity_std, dtype=np.float64).reshape(3))
-        if not self.position_scale > 0:
-            raise ValueError("position_scale must be positive")
         if not (self.pressure_std > 0 and self.drag_std > 0
                 and np.all(self.velocity_std > 0)):
             raise ValueError("target stds must be positive")
@@ -151,8 +146,7 @@ class NormalizationStats:
 
     @staticmethod
     def identity() -> "NormalizationStats":
-        return NormalizationStats(np.zeros(3), 1.0, 0.0, 1.0,
-                                  np.zeros(3), np.ones(3), 0.0, 1.0)
+        return NormalizationStats(0.0, 1.0, np.zeros(3), np.ones(3), 0.0, 1.0)
 
     def to_dict(self) -> dict:
         """JSON-ready fields; NormalizationStats(**d) reads them back."""
@@ -162,21 +156,10 @@ class NormalizationStats:
 
 
 def compute_stats(records: list[SampleRecord]) -> NormalizationStats:
-    """Aggregate normalization statistics over a list of records.
-
-    Center is the mean of all surface+volume positions; scale the max
-    distance from that center. Target means/stds are population statistics
-    per channel, stds floored at 1e-8.
-    """
+    """Target means/stds over a list of records: population statistics
+    per channel, stds floored at 1e-8."""
     if not records:
         raise ValueError("compute_stats needs at least one record")
-    all_pos = np.concatenate(
-        [r.surface.positions for r in records]
-        + [r.volume.positions for r in records], axis=0)
-    center = all_pos.mean(axis=0)
-    scale = float(np.linalg.norm(all_pos - center, axis=1).max())
-    if scale <= 0:
-        scale = 1.0
     pressures = np.concatenate([r.pressure for r in records])
     velocities = np.concatenate([r.velocity for r in records], axis=0)
     drags = np.array([r.drag for r in records])
@@ -189,25 +172,39 @@ def compute_stats(records: list[SampleRecord]) -> NormalizationStats:
     p_mean, p_std = _mean_std(pressures)
     v_mean, v_std = _mean_std(velocities, axis=0)
     d_mean, d_std = _mean_std(drags)
-    return NormalizationStats(center, scale, float(p_mean), float(p_std),
-                              v_mean, v_std, float(d_mean), float(d_std))
+    return NormalizationStats(float(p_mean), float(p_std), v_mean, v_std,
+                              float(d_mean), float(d_std))
 
 
-def normalize_cloud(cloud: PointCloud, center, scale) -> PointCloud:
-    """Cloud with positions mapped to (p - center)/scale; normals
-    unchanged."""
-    return PointCloud(positions=(cloud.positions - center) / scale,
-                      normals=cloud.normals, role=cloud.role)
+def normalize_clouds(surface: PointCloud, volume: PointCloud | None
+                     ) -> tuple[PointCloud, PointCloud | None]:
+    """Both clouds in the surface's own frame, normals unchanged: centered
+    on the midpoint of the surface's bounding box and divided by twice the
+    surface's largest distance from it (1.0 if that is 0), so every surface
+    point lies within 0.5 of the origin. The volume never moves the frame.
+    A surface whose squared distances overflow is a SampleFormatError."""
+    pos = surface.positions
+    with np.errstate(over="ignore"):
+        center = np.array([(pos[:, k].min() + pos[:, k].max()) / 2
+                           for k in range(3)])
+        d = pos - center
+        radius2 = np.einsum("ij,ij->i", d, d).max()
+    if not np.isfinite(radius2):
+        raise SampleFormatError(
+            "surface cloud: coordinates overflow: the squared distances "
+            "from the frame's center are not finite in float64")
+    scale = 2.0 * np.sqrt(radius2) or 1.0
+    vol = None if volume is None else PointCloud(
+        (volume.positions - center) / scale, volume.normals, volume.role)
+    return PointCloud(d / scale, surface.normals, surface.role), vol
 
 
 def normalize(record: SampleRecord, stats: NormalizationStats) -> SampleRecord:
-    """Map positions to (p - center)/scale and each target channel to
-    (t - mean)/std."""
+    """Map both clouds into the surface's frame (normalize_clouds) and each
+    target channel to (t - mean)/std."""
+    surface, volume = normalize_clouds(record.surface, record.volume)
     return SampleRecord(
-        surface=normalize_cloud(record.surface, stats.position_center,
-                                stats.position_scale),
-        volume=normalize_cloud(record.volume, stats.position_center,
-                               stats.position_scale),
+        surface=surface, volume=volume,
         pressure=(record.pressure - stats.pressure_mean) / stats.pressure_std,
         velocity=(record.velocity - stats.velocity_mean) / stats.velocity_std,
         drag=(record.drag - stats.drag_mean) / stats.drag_std,

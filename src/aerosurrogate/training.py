@@ -14,16 +14,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .datagen import DatasetSpec, generate_records
+from .metrics import DegenerateTargetError, _target_norm  # noqa: F401
 from .model import ModelConfig, ModelState, Params, init_model, \
     forward_graph, save_checkpoint
 from .pointcloud import SampleRecord, compute_stats, normalize
 from .rng import SplitMix64, derive_seed
-
-_NORM_FLOOR = 1e-30
-
-
-class DegenerateTargetError(ValueError):
-    """Relative L2 undefined: target norm is (numerically) zero."""
 
 
 @dataclass(frozen=True)
@@ -59,15 +54,6 @@ class TrainConfig:
             raise ValueError("betas must lie in [0, 1)")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-
-
-def _target_norm(y: np.ndarray, name: str = "target") -> float:
-    """||y||_2 in float64, the denominator of the relative L2; the error
-    for a zero norm calls y name."""
-    denom = float(np.linalg.norm(np.asarray(y, dtype=np.float64)))
-    if denom < _NORM_FLOOR:
-        raise DegenerateTargetError(f"{name} norm is zero; relative L2 undefined")
-    return denom
 
 
 def relative_l2(y: np.ndarray, y_hat: np.ndarray) -> float:

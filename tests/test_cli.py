@@ -334,7 +334,8 @@ class TestTrainPredictEvaluate:
         code, out, err = run(["evaluate", "--checkpoint", str(ckpt),
                               "--data", str(data), "--out",
                               str(tmp_path / "e")], capsys)
-        assert (code, out, err) == (1, "", "error: split 'val' is empty\n")
+        assert (code, out, err) == (
+            1, "", "error: evaluate needs a non-empty split\n")
         assert not (tmp_path / "e").exists()
 
 
@@ -343,11 +344,12 @@ class TestOverflowingCoordinates:
     error that names the file, for every command that loads it."""
 
     @staticmethod
-    def scaled_copy(sample_dir, dest, scale):
+    def scaled_copy(sample_dir, dest, scale,
+                    names=("surface.txt", "volume.txt")):
         dest.mkdir()
         for path in sample_dir.iterdir():
             lines = path.read_text().splitlines()
-            if path.name in ("surface.txt", "volume.txt"):
+            if path.name in names:
                 rows = [ln.split() for ln in lines[1:]]
                 lines = lines[:1] + [" ".join(
                     [repr(float(v) * scale) for v in r[:3]] + r[3:])
@@ -380,11 +382,12 @@ class TestOverflowingCoordinates:
                               "overflow")
 
     def test_predict_f32_overflow_exits_1(self, pipeline, tmp_path, capsys):
-        # loads (squared distances are finite in float64), but the
-        # normalized coordinates overflow the f32 model's precision
+        # loads (squared distances are finite in float64), but the volume's
+        # coordinates in the surface's frame overflow the f32 model's
+        # precision
         _, data, run_dir = pipeline
         far = self.scaled_copy(data / read_manifest(data)["samples"][0],
-                               tmp_path / "far", 1e153)
+                               tmp_path / "far", 1e153, names=("volume.txt",))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, _, err = run(["predict", "--checkpoint",
@@ -392,7 +395,7 @@ class TestOverflowingCoordinates:
                                 "--in", str(far),
                                 "--out", str(tmp_path / "pred")], capsys)
         assert code == 1
-        assert err == ("error: surface cloud: normalized coordinates "
+        assert err == ("error: volume cloud: normalized coordinates "
                        "overflow float32, the model's precision\n")
         assert not (tmp_path / "pred").exists()
 
@@ -488,10 +491,15 @@ class TestMalformedCheckpoint:
                    re.escape(f"{path}: {kind}: {got} bytes, not {size}"))
 
     def test_version_1_refused_by_version(self, pipeline, tmp_path, capsys):
-        path = tiny_checkpoint(tmp_path / "c.bin", edit=lambda h: {
-            **h, "version": 1, "tensors": []})
-        self.check(pipeline, tmp_path, capsys, path,
-                   re.escape(f"{path}: unsupported version 1") + "$")
+        # the headers of versions 1 (a tensor table) and 2 (position stats)
+        old = {1: lambda h: {**h, "version": 1, "tensors": []},
+               2: lambda h: {**h, "version": 2, "stats": {
+                   **h["stats"], "position_center": [0.0, 0.0, 0.0],
+                   "position_scale": 1.0}}}
+        for version, edit in old.items():
+            path = tiny_checkpoint(tmp_path / f"v{version}.bin", edit=edit)
+            self.check(pipeline, tmp_path, capsys, path, re.escape(
+                f"{path}: unsupported version {version}") + "$")
 
     @pytest.mark.parametrize("edit,match", [
         (lambda s: {**s, "bogus_stat": 0.0}, "unexpected .*'bogus_stat'"),
@@ -531,10 +539,8 @@ class TestNonFiniteStats:
 
     @pytest.mark.parametrize("key,value", [
         ("drag_mean", float("nan")), ("velocity_mean", [float("nan"), 0, 0]),
-        ("position_center", [float("inf"), 0, 0]),
-        ("pressure_std", float("inf")), ("position_scale", float("inf"))],
-        ids=["drag_mean_nan", "velocity_mean_nan", "position_center_inf",
-             "pressure_std_inf", "position_scale_inf"])
+        ("pressure_std", float("inf"))],
+        ids=["drag_mean_nan", "velocity_mean_nan", "pressure_std_inf"])
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_refused_as_bad_header(self, pipeline, tmp_path, capsys, command,
                                    key, value):

@@ -6,8 +6,9 @@ import pytest
 from aerosurrogate import pointcloud
 from aerosurrogate.pointcloud import (
     PointCloud, SampleRecord, NormalizationStats, SampleFormatError,
-    load_sample, save_sample, save_targets, normalize, compute_stats,
-    write_manifest, read_manifest, split_of, _read_rows, _write_rows)
+    load_sample, save_sample, save_targets, normalize, normalize_clouds,
+    compute_stats, write_manifest, read_manifest, split_of, _read_rows,
+    _write_rows)
 from aerosurrogate.rng import SplitMix64
 
 
@@ -457,22 +458,68 @@ class TestWriterBytes:
 
 
 class TestNormalization:
+    @staticmethod
+    def oracle_frame(surface):
+        """Midpoint of the bounding box, and twice the largest distance
+        from it."""
+        pos = surface.positions
+        center = (pos.min(axis=0) + pos.max(axis=0)) / 2
+        return center, 2 * np.linalg.norm(pos - center, axis=1).max()
+
     def test_identity_stats(self):
+        # the targets stay as they are, and the clouds go to the frame
         rec = make_record()
         out = normalize(rec, NormalizationStats.identity())
-        np.testing.assert_allclose(out.surface.positions, rec.surface.positions)
+        center, scale = self.oracle_frame(rec.surface)
+        np.testing.assert_allclose(out.surface.positions,
+                                   (rec.surface.positions - center) / scale,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out.volume.positions,
+                                   (rec.volume.positions - center) / scale,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(out.surface.normals, rec.surface.normals)
         np.testing.assert_allclose(out.pressure, rec.pressure)
         assert out.drag == rec.drag
 
     def test_unit_ball(self):
-        recs = [make_record(seed=s) for s in range(3)]
-        stats = compute_stats(recs)
-        for rec in recs:
-            n = normalize(rec, stats)
-            radii = np.linalg.norm(n.surface.positions, axis=1)
-            assert radii.max() <= 1.0 + 1e-12
-            radii_v = np.linalg.norm(n.volume.positions, axis=1)
-            assert radii_v.max() <= 1.0 + 1e-12
+        # every surface point lies within 0.5 of the origin, the farthest
+        # at 0.5; the volume may lie outside
+        for seed in range(3):
+            rec = make_record(seed=seed)
+            surface = normalize_clouds(rec.surface, rec.volume)[0]
+            radii = np.linalg.norm(surface.positions, axis=1)
+            assert radii.max() == pytest.approx(0.5, rel=1e-12)
+            assert radii.max() <= 0.5 + 1e-15
+
+    def test_single_point_has_scale_one(self):
+        rec = make_record(n_s=1)
+        surface, volume = normalize_clouds(rec.surface, rec.volume)
+        np.testing.assert_array_equal(surface.positions, np.zeros((1, 3)))
+        np.testing.assert_array_equal(
+            volume.positions, rec.volume.positions - rec.surface.positions)
+
+    def test_surface_permutation_leaves_frame_bit_equal(self):
+        rec = make_record(n_s=64, n_v=16, seed=5)
+        perm = np.random.default_rng(0).permutation(64)
+        surface, volume = normalize_clouds(rec.surface, rec.volume)
+        p_surface, p_volume = normalize_clouds(rec.surface.select(perm),
+                                               rec.volume)
+        np.testing.assert_array_equal(p_surface.positions,
+                                      surface.positions[perm])
+        np.testing.assert_array_equal(p_volume.positions, volume.positions)
+
+    @pytest.mark.parametrize("edit", [
+        lambda v: PointCloud(v.positions * 100.0 + 7.0, None, "volume"),
+        lambda v: v.select([0]),
+        lambda v: PointCloud(np.concatenate([v.positions, [[1e6, -1e6, 0]]]),
+                             None, "volume"),
+        lambda v: None], ids=["changed", "dropped", "added", "none"])
+    def test_volume_never_moves_frame(self, edit):
+        rec = make_record(n_s=16, n_v=8, seed=2)
+        surface = normalize_clouds(rec.surface, rec.volume)[0]
+        other = normalize_clouds(rec.surface, edit(rec.volume))[0]
+        np.testing.assert_array_equal(other.positions, surface.positions)
+        np.testing.assert_array_equal(other.normals, surface.normals)
 
 
 class TestComputeStats:
@@ -490,12 +537,12 @@ class TestComputeStats:
 
     def test_permutation_invariant(self):
         recs = [make_record(seed=s, drag=0.1 * s + 0.2) for s in range(4)]
-        s1 = compute_stats(recs)
-        s2 = compute_stats(recs[::-1])
-        np.testing.assert_allclose(s1.position_center, s2.position_center,
-                                   rtol=1e-12, atol=1e-15)
-        assert s1.position_scale == pytest.approx(s2.position_scale, rel=1e-12)
-        assert s1.drag_std == pytest.approx(s2.drag_std, rel=1e-12)
+        s1 = compute_stats(recs).to_dict()
+        s2 = compute_stats(recs[::-1]).to_dict()
+        assert s1.keys() == s2.keys()
+        for key in s1:
+            np.testing.assert_allclose(s2[key], s1[key], rtol=1e-12,
+                                       atol=1e-15, err_msg=key)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

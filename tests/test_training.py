@@ -341,9 +341,9 @@ class TestTrainLoop:
         recs = tiny_dataset(4)
         weights = LossWeights()
         # a high rate makes the validation loss non-monotone, so its best
-        # epoch differs from the training loss's
+        # epoch (5) differs from the training loss's (7)
         res = train(recs[:2], tiny_model_config(),
-                    TrainConfig(epochs=8, seed=2, learning_rate=3e-2,
+                    TrainConfig(epochs=8, seed=2, learning_rate=0.1,
                                 weights=weights),
                     val_records=recs[2:], out_dir=tmp_path)
         assert len(res.val_losses) == 8
