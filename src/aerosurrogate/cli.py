@@ -194,6 +194,8 @@ def cmd_grad_check(args) -> int:
     if not cfg["tolerance"] > 0:
         raise ConfigError(f"tolerance must be positive, "
                           f"got {cfg['tolerance']:g}")
+    if not np.isfinite(cfg["tolerance"]):   # inf would pass any gradient
+        raise ConfigError("tolerance must be finite, got inf")
     report = grad_check(tolerance=cfg["tolerance"], seed=cfg["seed"])
     print(f"max relative gradient error: {report.max_rel_error:.3e} "
           f"(tolerance {report.tolerance:g})")

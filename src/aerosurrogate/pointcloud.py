@@ -10,14 +10,10 @@ A sample lives in one directory:
 
 N_s and N_v are at least 1. C_u counts extra per-point feature columns
 and must be 0: the model reads positions and normals only. Every file is
-UTF-8 text, one row per line; blank lines are skipped on reading, and a
-malformed value is reported as `file:line`. A file is read once;
-np.loadtxt's C parser reads its rows, and where it might read them
-differently from the per-line parser (non-ASCII text, a line break
-str.splitlines knows and loadtxt does not, a token loadtxt rejects, a
-non-finite value or the wrong shape), the per-line parser reads the text
-again and has the last word. All decimals are written with 17
-significant digits (%.17g), each file's rows by one `%` operation, so
+UTF-8 text, one row per line as str.splitlines() ends lines, each value
+read by float(); blank lines are skipped. A file is read once, and a
+malformed value is reported as `file:line`. All decimals are written with
+17 significant digits (%.17g), each file's rows by one `%` operation, so
 float64 values round-trip bit-exactly. A prediction directory holds the
 same three target files (pressure.txt, velocity.txt, cd.txt). A dataset
 root holds manifest.json listing the sample directories.
@@ -25,9 +21,7 @@ root holds manifest.json listing the sample directories.
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-import io
 import json
-import warnings
 
 import numpy as np
 
@@ -216,10 +210,6 @@ def normalize(record: SampleRecord, stats: NormalizationStats) -> SampleRecord:
 # file I/O
 
 
-# str.splitlines() ends a line at these, np.loadtxt reads them as spaces
-_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
-
-
 def _read_text(path: Path) -> str:
     if not path.is_file():
         raise SampleFormatError(f"missing file: {path}")
@@ -229,55 +219,47 @@ def _read_text(path: Path) -> str:
         raise SampleFormatError(f"{path}: not UTF-8: {e}") from None
 
 
-def _read_rows(path: Path, n: int, width: int, text: str | None = None,
-               skip: int = 0) -> np.ndarray:
-    """Parse a sample file as an (n, width) array of finite floats.
-
-    A caller that has read the file already passes its `text` and the
-    number of header lines to `skip`. np.loadtxt's C parser reads the
-    rows; its array is kept only where the per-line parser would return
-    the same one. In every other case that parser reads the text again
-    and returns its own array or raises its `file:line` error.
-    """
-    if text is None:
-        text = _read_text(path)
-    if text.isascii() and not any(c in text for c in _LINE_BREAKS):
-        try:
-            with warnings.catch_warnings():     # a body with no rows warns
-                warnings.simplefilter("ignore")
-                arr = np.loadtxt(io.StringIO(text), dtype=np.float64,
-                                 comments=None, ndmin=2, skiprows=skip)
-        except ValueError:
-            pass
-        else:
-            if arr.shape == (n, width) and np.isfinite(arr).all():
-                return arr
-    return _parse_lines(path, text.splitlines(), n, width, skip)
+def _read_rows(path: Path, n: int, width: int) -> np.ndarray:
+    """A file without a header as an (n, width) array of finite floats."""
+    return _parse_rows(path, _read_text(path).splitlines(), 0, n, width)
 
 
-def _parse_lines(path: Path, lines: list[str], n: int, width: int,
-                 start: int) -> np.ndarray:
-    """`_read_rows` one line at a time: blank lines are skipped, and an
-    error names the line's number in the file."""
-    body = [i for i in range(start, len(lines)) if lines[i].strip()]
-    if len(body) != n:
-        raise SampleFormatError(f"{path}: expected {n} rows, got {len(body)}")
-    rows = []
-    for i in body:
-        parts = lines[i].split()
-        if len(parts) != width:
-            raise SampleFormatError(
-                f"{path}:{i + 1}: expected {width} values, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as e:
-            raise SampleFormatError(f"{path}:{i + 1}: {e}") from None
-    arr = np.array(rows, dtype=np.float64).reshape(n, width)
+def _parse_rows(path: Path, lines: list[str], start: int, n: int,
+                width: int) -> np.ndarray:
+    """lines[start:] of file `path` as an (n, width) array of finite
+    floats. Blank lines are skipped. Errors name the line's number in the
+    file: a wrong row count comes first, then the first line with the
+    wrong width or a token float() rejects, then the first non-finite
+    value."""
+    rows = list(filter(None, map(str.split, lines[start:])))  # non-blank
+    if len(rows) != n:
+        raise SampleFormatError(f"{path}: expected {n} rows, got {len(rows)}")
+    try:    # numpy reads a str with float(); ragged rows are a ValueError
+        arr = np.array(rows, dtype=np.float64).reshape(n, width)
+    except ValueError:
+        raise _first_bad_line(path, lines, start, width) from None
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
+        body = [i for i in range(start, len(lines)) if lines[i].split()]
         lineno = body[int(np.argmin(finite))] + 1
         raise SampleFormatError(f"{path}:{lineno}: non-finite value")
     return arr
+
+
+def _first_bad_line(path: Path, lines: list[str], start: int,
+                    width: int) -> SampleFormatError:
+    """The error of the first non-blank line from lines[start] on that has
+    the wrong width or a token float() rejects."""
+    for lineno, line in enumerate(lines[start:], start + 1):
+        parts = line.split()
+        if parts and len(parts) != width:
+            return SampleFormatError(
+                f"{path}:{lineno}: expected {width} values, got {len(parts)}")
+        for token in parts:
+            try:
+                float(token)
+            except ValueError as e:
+                return SampleFormatError(f"{path}:{lineno}: {e}")
 
 
 def _write_rows(path: Path, rows, header: str | None = None) -> None:
@@ -293,12 +275,10 @@ def _write_rows(path: Path, rows, header: str | None = None) -> None:
 
 
 def _load_cloud(path: Path, role: str) -> PointCloud:
-    text = _read_text(path)
-    if not text:
+    lines = _read_text(path).splitlines()
+    if not lines:
         raise SampleFormatError(f"{path}:1: empty file")
-    # the first line of text.splitlines() ends at or before the first "\n"
-    first = text.partition("\n")[0].splitlines()
-    header = first[0].split() if first else []
+    header = lines[0].split()
     if len(header) != 3:
         raise SampleFormatError(f"{path}:1: header must be 'N C_u has_normals'")
     try:
@@ -312,7 +292,7 @@ def _load_cloud(path: Path, role: str) -> PointCloud:
     if c_u != 0:
         raise SampleFormatError(
             f"{path}:1: C_u must be 0 (feature columns are not read)")
-    arr = _read_rows(path, n, 3 + 3 * has_normals, text, skip=1)
+    arr = _parse_rows(path, lines, 1, n, 3 + 3 * has_normals)
     with np.errstate(over="ignore"):    # a squared distance reaches |2p|^2
         overflow = ~np.isfinite(((2.0 * arr[:, :3]) ** 2).sum(axis=1))
     if overflow.any():
@@ -407,12 +387,10 @@ def write_manifest(root, sample_dirs: list[str], splits: dict[str, str] | None =
 def read_manifest(root) -> dict:
     """Read and check manifest.json; every malformed manifest is a
     SampleFormatError that names the file."""
-    root = Path(root)
-    path = root / "manifest.json"
-    if not path.is_file():
-        raise SampleFormatError(f"missing manifest: {path}")
+    path = Path(root) / "manifest.json"
+    text = _read_text(path)
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(text)
     except ValueError as e:
         raise SampleFormatError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(manifest, dict):

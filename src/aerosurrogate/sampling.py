@@ -37,6 +37,9 @@ class SamplingConfig:
             raise ValueError("curvature_fraction must be strictly inside (0,1)")
         if self.grid_cells < 1:
             raise ValueError("grid_cells must be >= 1")
+        if self.grid_cells ** 3 > 2 ** 63:
+            raise ValueError(f"grid_cells must be <= {2 ** 21}, so that the "
+                             "voxel ids (x*G + y)*G + z fit in int64")
 
 
 def _knn_chunks(pos: np.ndarray, k: int):

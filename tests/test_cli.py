@@ -109,6 +109,28 @@ class TestGenData:
 
 
 class TestSample:
+    @pytest.mark.parametrize("cells", ["2097153", "100000000000000000000"])
+    def test_grid_whose_voxel_ids_overflow_is_usage_error(self, tmp_path,
+                                                          capsys, cells):
+        out = tmp_path / "reduced"     # refused before the sample is read
+        code, stdout, err = run(["sample", "--n", "8", "--grid-cells", cells,
+                                 "--in", str(tmp_path / "absent"),
+                                 "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == ("error: grid_cells must be <= 2097152, so that the "
+                       "voxel ids (x*G + y)*G + z fit in int64\n")
+        assert not out.exists()
+
+    def test_largest_grid_is_accepted(self, tmp_path, capsys):
+        data = gen(tmp_path, n=1, n_surface=24)
+        sample_dir = data / read_manifest(data)["samples"][0]
+        out = tmp_path / "reduced"
+        code, _, err = run(["sample", "--method", "adaptive", "--n", "8",
+                            "--grid-cells", "2097152", "--in", str(sample_dir),
+                            "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        assert len(read_index_file(out / "indices.txt")) == 8
+
     def test_writes_sorted_index_file(self, tmp_path):
         data = gen(tmp_path, n=1, n_surface=64)
         sample_dir = data / read_manifest(data)["samples"][0]
@@ -711,6 +733,21 @@ class TestGradCheck:
         code, _, err = run(["grad-check", "--config", str(cfg_path)], capsys)
         assert code == 2
         assert err == f"error: tolerance must be positive, got {tolerance:g}\n"
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_infinite_tolerance_is_usage_error(self, tmp_path, capsys,
+                                               monkeypatch, where):
+        def must_not_run(**kw):
+            raise AssertionError("grad_check ran")
+        monkeypatch.setattr("aerosurrogate.cli.grad_check", must_not_run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"tolerance": float("inf")}))
+        argv = (["--tolerance", "inf"] if where == "flag"
+                else ["--config", str(cfg_path)])
+        code, out, err = run(["grad-check"] + argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: tolerance must be finite, got inf\n"
 
     def test_print_config_shows_tolerance(self, capsys):
         code, out, _ = run(["grad-check", "--print-config"], capsys)

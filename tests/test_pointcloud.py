@@ -327,6 +327,12 @@ PARITY_CASES = [
     ("cd-between-blank-lines", "\n0.3\n\n", 1, 1),
     ("cd-two-values", "0.3 0.4\n", 1, 1),
     ("one-row", "1 2 3\n", 1, 3),
+    # mixed faults: a width or token error on any line comes before a
+    # non-finite value, and the first line with either error wins
+    ("nan-then-bad-token", "1 nan 3\n4 x 6\n", 2, 3),
+    ("bad-token-then-short-row", "4 x 6\n1 2\n", 2, 3),
+    ("inf-then-short-row", "1 inf 3\n4 5\n", 2, 3),
+    ("short-row-then-bad-token", "1 2\n4 x 6\n", 2, 3),
 ] + [case for i, c in enumerate(SPLITS_LINES) for case in (
     (f"split{i}-inside-row", f"1 2 3{c}4 5 6\n", 2, 3),
     (f"split{i}-inside-wide-row", f"1 2 3{c}4 5 6\n", 1, 6),
@@ -351,8 +357,8 @@ def assert_same_read(path, n, width, skip):
     lines = path.read_text(encoding="utf-8").splitlines()
     want = outcome(lambda: oracle_read_rows(path, n, width, lines, skip))
     if skip:
-        got = outcome(lambda: _read_rows(
-            path, n, width, pointcloud._read_text(path), skip=skip))
+        got = outcome(lambda: pointcloud._parse_rows(
+            path, pointcloud._read_text(path).splitlines(), skip, n, width))
     else:
         got = outcome(lambda: _read_rows(path, n, width))
     assert got == want
@@ -373,8 +379,8 @@ def awkward_doubles():
 
 
 class TestReaderParity:
-    """The loadtxt fast path with its fallback accepts and rejects exactly
-    what the per-line reader does, with the same values and messages."""
+    """The reader accepts and rejects exactly what the per-line oracle
+    does, with the same values, messages and error precedence."""
 
     @pytest.mark.parametrize("skip", [0, 1])
     @pytest.mark.parametrize("name,text,n,width", PARITY_CASES,
@@ -396,32 +402,15 @@ class TestReaderParity:
         if fmt in ("%.17g", "repr"):
             assert _read_rows(path, x.shape[0], 3).tobytes() == x.tobytes()
 
-    def test_sample_files_take_the_fast_path(self, tmp_path, monkeypatch):
+    def test_crlf_and_blank_lines_read_as_written(self, tmp_path):
         save_sample(make_record(n_s=40, n_v=30), tmp_path / "s0")
         want = load_sample(tmp_path / "s0")
         velocity = tmp_path / "s0" / "velocity.txt"
         rows = velocity.read_text().splitlines()
         velocity.write_bytes(("\r\n\r\n".join(rows) + "\r\n \n").encode())
-
-        def refuse(*args):
-            raise AssertionError("per-line parser ran")
-        monkeypatch.setattr(pointcloud, "_parse_lines", refuse)
         got = load_sample(tmp_path / "s0")
         assert got.velocity.tobytes() == want.velocity.tobytes()
         assert got.surface.normals.tobytes() == want.surface.normals.tobytes()
-
-    @pytest.mark.parametrize("text", ["1 2 3\x0c4 5 6\n", "1 2 nan\n",
-                                      "1_0 2 3\n", "1 2\n"])
-    def test_fallback_reads_what_the_fast_path_refuses(self, tmp_path,
-                                                       monkeypatch, text):
-        calls = []
-        parse = pointcloud._parse_lines
-        monkeypatch.setattr(pointcloud, "_parse_lines",
-                            lambda *a: calls.append(a) or parse(*a))
-        path = tmp_path / "rows.txt"
-        path.write_text(text)
-        outcome(lambda: _read_rows(path, 1, 3))
-        assert len(calls) == 1
 
     @pytest.mark.parametrize("text,want", [
         ("2 0 0\r\n1 2 3\r\n4 5 6\r\n", [[1, 2, 3], [4, 5, 6]]),
@@ -561,3 +550,18 @@ class TestManifest:
         m = read_manifest(tmp_path)
         vals = sum(split_of(s, m) == "val" for s in m["samples"])
         assert 5 <= vals <= 40   # roughly 20%
+
+    def test_missing_manifest_names_the_file(self, tmp_path):
+        with pytest.raises(SampleFormatError) as e:
+            read_manifest(tmp_path)
+        assert str(e.value) == f"missing file: {tmp_path / 'manifest.json'}"
+
+    def test_manifest_is_read_as_utf8(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_bytes('{"format_version": 1, "samples": ["\u00e9t\u00e9"]}'
+                         .encode("utf-8"))
+        assert read_manifest(tmp_path)["samples"] == ["\u00e9t\u00e9"]
+        path.write_bytes(b'{"format_version": 1, "samples": ["\xe9"]}')
+        with pytest.raises(SampleFormatError,
+                           match=re.escape(f"{path}: not UTF-8")):
+            read_manifest(tmp_path)
