@@ -28,6 +28,7 @@ import numpy as np
 from .rng import fnv1a64
 
 FORMAT_VERSION = 1
+_LINES = 1024       # lines of a sample file converted to floats at once
 _STD_FLOOR = 1e-8
 
 
@@ -230,17 +231,23 @@ def _parse_rows(path: Path, lines: list[str], start: int, n: int,
     floats. Blank lines are skipped. Errors name the line's number in the
     file: a wrong row count comes first, then the first line with the
     wrong width or a token float() rejects, then the first non-finite
-    value."""
-    rows = list(filter(None, map(str.split, lines[start:])))  # non-blank
-    if len(rows) != n:
-        raise SampleFormatError(f"{path}: expected {n} rows, got {len(rows)}")
+    value. The body is converted _LINES lines at a time into the array,
+    so only one block's token strings are held at once."""
+    body = [i for i in range(start, len(lines))
+            if lines[i] and not lines[i].isspace()]     # non-blank lines
+    if len(body) != n:
+        raise SampleFormatError(f"{path}: expected {n} rows, got {len(body)}")
+    arr = np.empty((n, width), dtype=np.float64)
     try:    # numpy reads a str with float(); ragged rows are a ValueError
-        arr = np.array(rows, dtype=np.float64).reshape(n, width)
+        for at in range(0, n, _LINES):
+            block = [lines[i].split() for i in body[at:at + _LINES]]
+            arr[at:at + len(block)] = np.array(
+                block, dtype=np.float64
+            ).reshape(len(block), width)        # never broadcast a block
     except ValueError:
         raise _first_bad_line(path, lines, start, width) from None
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
-        body = [i for i in range(start, len(lines)) if lines[i].split()]
         lineno = body[int(np.argmin(finite))] + 1
         raise SampleFormatError(f"{path}:{lineno}: non-finite value")
     return arr

@@ -15,6 +15,10 @@ from .pointcloud import PointCloud
 from .rng import SplitMix64
 
 _DEGENERATE_EIG_SUM = 1e-18
+_ROWS = 256                 # rows of a spatial block of the k-NN
+_DISTANCES = 2 ** 18        # squared distances the k-NN holds at once
+_SLACK = 2.0 ** -40         # rounding slack of the window proof, relative
+_UNDERFLOW = 2.0 ** -1000   # and absolute, for rounding below normal floats
 
 
 @dataclass(frozen=True)
@@ -42,25 +46,159 @@ class SamplingConfig:
                              "voxel ids (x*G + y)*G + z fit in int64")
 
 
+def _select(pos, sq, rows, k, cand=None):
+    """The k+1 nearest to each point of `rows` among the points `cand`
+    (ascending indices; all points if None), as column numbers in
+    (distance, index) order, and each row's rank-k squared distance.
+
+    argpartition finds the k+2 nearest and lexsort orders them, as a
+    stable sort of the row would. A row whose rank-k and rank-(k+1)
+    distances tie (or are NaN) is sorted in full, so tied neighbours
+    still go by lower index."""
+    # BLAS computes a one-row product (gemv), and the last columns of a
+    # product when fewer than its kernel's width, in another order: with
+    # a second row, and a window padded to a multiple of 32 columns, each
+    # distance is bit-equal to the one in a full row of a larger product
+    gemm_rows = np.pad(rows, (0, int(len(rows) == 1)), mode="edge")
+    cols = slice(None) if cand is None else \
+        np.pad(cand, (0, -len(cand) % 32), mode="edge")
+    d2 = sq[rows, None] + sq[None, cols] \
+        - (2.0 * pos[gemm_rows] @ pos[cols].T)[:len(rows)]
+    if cand is not None:
+        d2 = d2[:, :len(cand)]
+    kth = min(k + 1, d2.shape[1] - 1)
+    part = np.argpartition(d2, kth, axis=1)[:, :k + 2]
+    dist = np.take_along_axis(d2, part, axis=1)
+    by = np.lexsort((part, dist), axis=1)
+    order = np.take_along_axis(part, by, axis=1)[:, :k + 1]
+    dist = np.take_along_axis(dist, by, axis=1)
+    del part                                    # free argpartition's array
+    tie = ~(dist[:, k] < dist[:, kth])          # or NaN, or only k+1 columns
+    if tie.any():
+        order[tie] = np.argsort(d2[tie], axis=1, kind="stable")[:, :k + 1]
+    return order, dist[:, k]
+
+
+def _full_rows(pos, sq, rows, k):
+    """Per chunk of `rows`, yield (the rows, their k-NN indices), every
+    point a candidate. A cloud of fewer than 4 * _ROWS points is one
+    product, as an all-pairs search in chunks of 2_000_000 // N rows has
+    it; a larger one takes _DISTANCES // N rows at a time."""
+    n = len(pos)
+    chunk = n if n < 4 * _ROWS else max(1, _DISTANCES // n)
+    for start in range(0, len(rows), chunk):
+        part = rows[start:start + chunk]
+        order, _ = _select(pos, sq, part, k)
+        yield part, order[:, 1:]                # skip the point itself
+
+
+def _morton(pos, lo, extent):
+    """Z-order code of each point on a 1024^3 grid over its bounding box."""
+    cell = np.minimum((pos - lo) / extent * 1024, 1023).astype(np.int64)
+    code = np.zeros(len(pos), dtype=np.int64)
+    for bit in range(10):
+        code |= (((cell >> bit) & 1) << (3 * bit + np.arange(3))).sum(axis=1)
+    return code
+
+
+def _window_rows(pos, sq, k):
+    """Per chunk of a spatial block's rows, yield (the rows, their k-NN
+    indices) for the rows whose window proof holds; return the rows it
+    does not hold for."""
+    n = len(pos)
+    lo, hi = pos.min(axis=0), pos.max(axis=0)
+    extent = np.where(hi > lo, hi - lo, 1.0)
+    code = _morton(pos, lo, extent)
+    by_code = np.argsort(code, kind="stable")
+    # a second Z-order, over a box shifted by a third of the extent, keeps
+    # together near points that the first one puts far apart
+    by_shift = np.argsort(_morton(pos, lo - extent / 3, extent * 4 / 3),
+                          kind="stable")
+    at_code = np.empty(n, dtype=np.int64)
+    at_shift = np.empty(n, dtype=np.int64)
+    at_code[by_code] = at_shift[by_shift] = np.arange(n)
+    shift_at_code = at_code[by_shift]
+    in_code, in_shift = pos[by_code], pos[by_shift]
+    axis = int(np.argmax(hi - lo))          # candidates come from a slab
+    by_axis = np.argsort(pos[:, axis], kind="stable")
+    in_axis = pos[by_axis]
+    slack = _SLACK * sq.max() + _UNDERFLOW
+    span = np.arange(2 * (k + 2))
+    cuts = list(range(0, n - _ROWS // 2, _ROWS)) + [n]  # 128 to 384 rows
+    unproved = []
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        rows, p = by_code[start:stop], in_code[start:stop]
+        # radius: each row's (k+2)-th distance (itself first) among the
+        # 2(k+2) rows around it in each order, each point counted once
+        first = np.clip(np.arange(start, stop) - k - 2, 0, n - len(span))
+        other = np.clip(at_shift[rows] - k - 2, 0, n - len(span))
+        near = in_code[first[:, None] + span] - p[:, None]
+        d2 = np.einsum("ijk,ijk->ij", near, near)
+        near = in_shift[other[:, None] + span] - p[:, None]
+        d2_other = np.einsum("ijk,ijk->ij", near, near)
+        again = shift_at_code[other[:, None] + span] - first[:, None]
+        d2_other[(again >= 0) & (again < len(span))] = np.inf
+        radius = np.sqrt(np.partition(np.hstack([d2, d2_other]), k + 1,
+                                      axis=1)[:, k + 1])
+        box_lo = (p - radius[:, None]).min(axis=0)
+        box_hi = (p + radius[:, None]).max(axis=0)
+        slab = slice(np.searchsorted(in_axis[:, axis], box_lo[axis], "left"),
+                     np.searchsorted(in_axis[:, axis], box_hi[axis], "right"))
+        inside = ((in_axis[slab] >= box_lo)
+                  & (in_axis[slab] <= box_hi)).all(axis=1)
+        cand = np.sort(by_axis[slab][inside])   # at least the block's rows
+        gap = np.minimum(p - box_lo, box_hi - p).min(axis=1)
+        gap2 = gap * gap
+        parts = -(-len(rows) * len(cand) // _DISTANCES)
+        for part, part_gap2 in zip(np.array_split(rows, parts),
+                                   np.array_split(gap2, parts)):
+            order, dist_k = _select(pos, sq, part, k, cand)
+            proved = dist_k + slack + _SLACK * part_gap2 < part_gap2
+            yield part[proved], cand[order[proved, 1:]]
+            unproved.append(part[~proved])
+    return np.concatenate(unproved)
+
+
 def _knn_chunks(pos: np.ndarray, k: int):
-    """Per chunk of rows, yield (start, stop, the rows' k-NN indices)."""
+    """Per chunk of rows, yield (the rows, their k-NN indices).
+
+    Each row gets the k points after itself in the order a stable sort of
+    its row of squared distances sq[i] + sq[j] - 2 p_i.p_j over all
+    points would give, holding about _DISTANCES distances at once.
+
+    A cloud of at least 4 * _ROWS points whose |p|^2 are finite is
+    searched over spatial blocks when k + 2 <= _ROWS // 2, the fewest
+    rows of a block, each of them one of its candidates. Rows are sorted
+    by Morton code and cut into blocks of _ROWS rows (the last one 128 to
+    384). Each row's (k+2)-th neighbour distance r is
+    bounded from the rows around it in that order and in a shifted one.
+    A block's candidates are the points inside its window, the box
+    [min(p - r), max(p + r)] over its rows. A row is kept only if a proof
+    holds: its rank-k candidate distance plus the slack
+    _SLACK * (max|p|^2 + gap^2) + _UNDERFLOW is strictly below its
+    squared gap to the window's boundary. Then every
+    point outside the window comes after its k nearest: the distance
+    expression is exact to a few units of rounding of max|p|^2, the gap
+    to one of its own, and the slack covers both many times over. Every
+    other row, and every row of a smaller cloud, of a larger k or of a
+    cloud whose |p|^2 overflows, is selected with all points as
+    candidates by the same routine.
+
+    The order is not bit-identical to an all-pairs search in general. A
+    window's distances are bit-equal to a full row's, except those to the
+    last N mod 8 points, which BLAS computes by another kernel whose last
+    bit depends on the product's shape. So two neighbours whose distances
+    tie to the last bit, one of them among those points, can come in
+    another order (one row of a shuffled 13^3 lattice of step 0.1 at
+    k = 8).
+    """
     n = pos.shape[0]
-    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
     sq = np.einsum("ij,ij->i", pos, pos)
-    kth = min(k + 1, n - 1)
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * pos[start:stop] @ pos.T
-        cand = np.argpartition(d2, kth, axis=1)[:, :k + 2]
-        dist = np.take_along_axis(d2, cand, axis=1)
-        by = np.lexsort((cand, dist), axis=1)
-        order = np.take_along_axis(cand, by, axis=1)[:, :k + 1]
-        dist = np.take_along_axis(dist, by, axis=1)
-        tie = ~(dist[:, k] < dist[:, kth])      # or NaN, or n == k+1
-        if tie.any():
-            order[tie] = np.argsort(d2[tie], axis=1, kind="stable")[:, :k + 1]
-        del d2, cand                            # free before the caller runs
-        yield start, stop, order[:, 1:]         # skip the point itself
+    rest = np.arange(n)
+    if n >= 4 * _ROWS and k + 2 <= _ROWS // 2 and np.isfinite(sq).all():
+        rest = yield from _window_rows(pos, sq, k)
+    if len(rest):
+        yield from _full_rows(pos, sq, rest, k)
 
 
 def estimate_curvature(cloud: PointCloud, k: int = 16) -> np.ndarray:
@@ -68,18 +206,21 @@ def estimate_curvature(cloud: PointCloud, k: int = 16) -> np.ndarray:
     over the covariance eigenvalues of the k-NN neighborhood.
 
     kappa is 0 on planes, bounded above by 1/3, and rotation-invariant.
-    The k-NN is exact, chunked to bound memory. Per distance row,
-    argpartition finds the k+2 nearest, ordered by (distance, index) as
-    by a stable sort of the row. A row whose k-th and (k+1)-th distances
-    tie is sorted in full, so tied neighbours still go by lower index and
-    each covariance is summed in the same order.
+    The k-NN is exact: each point's neighbours are those a stable sort of
+    its full row of squared distances gives, in that order, so tied
+    neighbours go by lower index and each covariance is summed in the
+    same order. It is searched over spatial blocks, in about linear time
+    on a surface, with at most _DISTANCES distances held at once; a row
+    the block search cannot prove exact is searched over all points
+    (see _knn_chunks, also for the one kind of last-bit tie whose order
+    can differ from an all-pairs search).
     """
     pos = cloud.positions
     n = pos.shape[0]
     if n < k + 1:
         raise ValueError(f"need at least k+1={k + 1} points, have {n}")
     kappa = np.empty(n, dtype=np.float64)
-    for start, stop, order in _knn_chunks(pos, k):
+    for rows, order in _knn_chunks(pos, k):
         pts = pos[order]                                    # (rows, k, 3)
         centered = pts - pts.mean(axis=1, keepdims=True)
         cov = np.swapaxes(centered, 1, 2) @ centered / k
@@ -87,7 +228,7 @@ def estimate_curvature(cloud: PointCloud, k: int = 16) -> np.ndarray:
         total = eig.sum(axis=1)
         degenerate = total < _DEGENERATE_EIG_SUM
         ratio = eig[:, 0] / np.where(degenerate, 1.0, total)
-        kappa[start:stop] = np.where(degenerate, 0.0, np.maximum(0.0, ratio))
+        kappa[rows] = np.where(degenerate, 0.0, np.maximum(0.0, ratio))
     return kappa
 
 

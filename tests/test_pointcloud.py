@@ -290,6 +290,11 @@ class TestFileIO:
 SPLITS_LINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
                 "\u2029"]
 
+# A body that fills the first block of lines the reader converts at once.
+LONG = pointcloud._LINES
+ROWS = "1 2 3\n" * LONG
+WIDE = "1 2 3 4 5 6\n" * LONG
+
 PARITY_CASES = [
     # line endings and separators
     ("crlf", "1 2 3\r\n4 5 6\r\n", 2, 3),
@@ -333,6 +338,18 @@ PARITY_CASES = [
     ("bad-token-then-short-row", "4 x 6\n1 2\n", 2, 3),
     ("inf-then-short-row", "1 inf 3\n4 5\n", 2, 3),
     ("short-row-then-bad-token", "1 2\n4 x 6\n", 2, 3),
+    # faults in a later block of lines than the first
+    ("later-block-bad-token", ROWS + "4 x 6\n", LONG + 1, 3),
+    ("later-block-short-row", ROWS + "4 5\n", LONG + 1, 3),
+    ("later-block-nan", ROWS + "4 nan 6\n", LONG + 1, 3),
+    ("nan-then-later-block-bad-token", "1 nan 3\n" + ROWS + "4 x 6\n",
+     LONG + 2, 3),
+    ("blank-lines-then-later-block-short-row",
+     "\n \n" + ROWS.replace("\n", "\n\n", 9) + "4 5\n", LONG + 1, 3),
+    ("later-block-too-few-rows", ROWS, LONG + 1, 3),
+    # a last block of two half-width rows must not fill two full rows
+    ("later-block-half-width-pair", WIDE + "1 2 3\n4 5 6\n", LONG + 2, 6),
+    ("later-block-one-double-width-row", ROWS + "1 2 3 4 5 6\n", LONG + 1, 3),
 ] + [case for i, c in enumerate(SPLITS_LINES) for case in (
     (f"split{i}-inside-row", f"1 2 3{c}4 5 6\n", 2, 3),
     (f"split{i}-inside-wide-row", f"1 2 3{c}4 5 6\n", 1, 6),
