@@ -16,9 +16,8 @@ import zlib
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
-from .physatt import LayerParams, Slot, attention_block_t, layer_layout
+from .autodiff import _gelu_from_tanh, _gelu_grad, _gelu_tanh
+from .physatt import LayerParams, Slot, _block, _linear_grad, layer_layout
 from .pointcloud import (NormalizationStats, PointCloud, SampleFormatError,
                          normalize_clouds)
 from .rng import SplitMix64
@@ -156,46 +155,101 @@ def _input_features(config: ModelConfig, cloud: PointCloud) -> np.ndarray:
     return feats
 
 
-def _mlp_t(x: Tensor, t: dict, prefix: str) -> Tensor:
-    hidden = ad.gelu(ad.add(ad.matmul(x, t[f"{prefix}.w1"]), t[f"{prefix}.b1"]))
-    return ad.add(ad.matmul(hidden, t[f"{prefix}.w2"]), t[f"{prefix}.b2"])
+def _add_grads(grads: Params, prefix: str, named) -> None:
+    """Add each (name, d) of named into its view grads[prefix + name]."""
+    for name, d in named:
+        view = grads[prefix + name]
+        view += d
+
+
+def _mlp(x: np.ndarray, params: Params, prefix: str, keep: bool):
+    """The head prefix on x: gelu(x.w1 + b1).w2 + b2. Returns (out,
+    backward); with keep, backward(g, grads) adds the head's gradients,
+    given g at out, into grads and returns d x, else it is None."""
+    w1, b1, w2, b2 = (params[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2"))
+    pre = x @ w1
+    pre += b1
+    th = _gelu_tanh(pre)
+    hidden = _gelu_from_tanh(pre, th, out=None if keep else th)
+    out = hidden @ w2
+    out += b2
+    if not keep:
+        return out, None
+
+    def backward(g, grads):
+        d_w2, d_b2, d_hidden = _linear_grad(hidden, g, w2)
+        d_w1, d_b1, d_x = _linear_grad(x, _gelu_grad(d_hidden, pre, th), w1)
+        _add_grads(grads, f"{prefix}.", (("w1", d_w1), ("b1", d_b1),
+                                         ("w2", d_w2), ("b2", d_b2)))
+        return d_x
+
+    return out, backward
 
 
 def forward_graph(state: ModelState, surface: PointCloud,
-                  volume: PointCloud | None,
-                  params_t: dict[str, Tensor] | None = None
-                  ) -> tuple[Tensor, Tensor, Tensor | None]:
-    """The forward pass, for training and inference alike.
+                  volume: PointCloud | None, keep: bool = False):
+    """The forward pass on ndarrays, for training and inference alike.
 
-    Returns (drag, pressure, velocity) Tensors; velocity is None when no
-    volume points are supplied. Inputs are assumed already in the
-    surface's frame (normalize_clouds). params_t maps parameter names to
-    Tensors with requires_grad set (training), and the outputs then carry
-    the graph that backward() differentiates. By default the ndarrays of
-    state.params are used: no gradient can flow, so no graph is recorded
-    and the outputs are plain value Tensors.
+    Returns (drag, pressure, velocity, backward): a 0-d drag, pressure
+    (N_s,) and velocity (N_v, 3), None when no volume points are
+    supplied. Inputs are assumed already in the surface's frame
+    (normalize_clouds). Without keep, each block runs its point-local
+    stages in row chunks (physatt._block) and backward is None. With
+    keep, backward(d_drag, d_pressure, d_velocity, grads) maps the
+    gradient at the outputs (d_velocity None without volume) to the
+    gradient of every parameter and adds it into grads, a Params of the
+    parameters' layout; it releases the activations as it runs, so it
+    runs once. Every gradient is the one a graph of autodiff primitives
+    gives, bit for bit (tests/graph_oracle.py).
     """
-    config = state.config
-    t = state.params if params_t is None else params_t
-
+    config, params = state.config, state.params
     n_s = surface.n_points
     feats = [_input_features(config, surface)]
     if volume is not None:
         feats.append(_input_features(config, volume))
-    x = Tensor(np.concatenate(feats, axis=0))
+    feats = np.concatenate(feats, axis=0)
 
-    x = ad.add(ad.matmul(x, t["embedding.w"]), t["embedding.b"])
+    x = feats @ params["embedding.w"]
+    x += params["embedding.b"]
+    blocks = []
     for li in range(config.layers):
-        layer = LayerParams.lookup(t, f"layers.{li}.", config.heads)
-        x = attention_block_t(x, layer)
+        layer = LayerParams.lookup(params, f"layers.{li}.", config.heads)
+        x, block_backward = _block(x, layer, keep)
+        blocks.append(block_backward)
+    fields = [name for name, _ in layer.named_arrays()]
 
-    surf_feats = ad.getitem(x, slice(0, n_s))
-    pooled = ad.mean(surf_feats, axis=0, keepdims=True)
-    drag = ad.reshape(_mlp_t(pooled, t, "head.drag"), ())
-    pressure = ad.reshape(_mlp_t(surf_feats, t, "head.pressure"), (n_s,))
-    velocity = None if volume is None else _mlp_t(
-        ad.getitem(x, slice(n_s, None)), t, "head.velocity")
-    return drag, pressure, velocity
+    surf = x[:n_s]
+    inv_n = config.dtype(1.0 / n_s)
+    pooled = surf.sum(axis=0, keepdims=True)
+    pooled *= inv_n
+    drag, drag_backward = _mlp(pooled, params, "head.drag", keep)
+    pressure, pressure_backward = _mlp(surf, params, "head.pressure", keep)
+    velocity, velocity_backward = (None, None) if volume is None else _mlp(
+        x[n_s:], params, "head.velocity", keep)
+    drag, pressure = drag.reshape(()), pressure.reshape(n_s)
+    if not keep:
+        return drag, pressure, velocity, None
+    # popped as they run, so that the heads' activations, and with them
+    # the last block's output, are freed before the blocks' backward
+    heads = {"drag": drag_backward, "pressure": pressure_backward,
+             "velocity": velocity_backward}
+    shape = x.shape
+
+    def backward(d_drag, d_pressure, d_velocity, grads: Params):
+        d_x = np.empty(shape, feats.dtype)
+        d_surf = d_x[:n_s]
+        d_surf[...] = heads.pop("pressure")(d_pressure.reshape(n_s, 1), grads)
+        d_surf += heads.pop("drag")(d_drag.reshape(1, 1), grads) * inv_n
+        head = heads.pop("velocity")
+        if head is not None:
+            d_x[n_s:] = head(d_velocity, grads)
+        for li in reversed(range(len(blocks))):
+            d_x, *d_fields = blocks.pop()(d_x)
+            _add_grads(grads, f"layers.{li}.", zip(fields, d_fields))
+        _add_grads(grads, "embedding.", (("w", feats.T @ d_x),
+                                         ("b", d_x.sum(axis=0))))
+
+    return drag, pressure, velocity, backward
 
 
 def forward(state: ModelState, surface: PointCloud,
@@ -204,10 +258,10 @@ def forward(state: ModelState, surface: PointCloud,
     target units, non-finite where they overflow, with numpy's warnings
     silenced: the callers refuse a non-finite output by name."""
     with np.errstate(over="ignore", invalid="ignore"):
-        drag, pressure, velocity = forward_graph(state, surface, volume)
-    vel = velocity.value if velocity is not None else np.zeros((0, 3))
-    return Prediction(drag=float(drag.value),
-                      pressure=np.asarray(pressure.value, dtype=np.float64),
+        drag, pressure, velocity, _ = forward_graph(state, surface, volume)
+    vel = velocity if velocity is not None else np.zeros((0, 3))
+    return Prediction(drag=float(drag),
+                      pressure=np.asarray(pressure, dtype=np.float64),
                       velocity=np.asarray(vel, dtype=np.float64))
 
 

@@ -38,7 +38,7 @@ class LayerParams:
     to keep it positive while trainable.
 
     The fields may be ndarrays or autodiff Tensors: the model looks them up
-    by name in its parameters, or in their Tensors during training.
+    by name in its parameters, and attention_block_t also takes Tensors.
     """
 
     slice_proj: np.ndarray    # (C, H*M)

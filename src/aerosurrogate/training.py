@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .datagen import DatasetSpec, generate_records
 from .metrics import DegenerateTargetError, _target_norm  # noqa: F401
@@ -65,36 +64,59 @@ def relative_l2(y: np.ndarray, y_hat: np.ndarray) -> float:
     return float(np.linalg.norm(y - y_hat)) / _target_norm(y)
 
 
-def _relative_l2_t(y_hat: Tensor, y: np.ndarray, name: str) -> Tensor:
-    denom = _target_norm(y, name)
-    y = Tensor(np.asarray(y, dtype=y_hat.value.dtype))
-    return ad.mul(ad.frobenius_norm(ad.sub(y_hat, y)), 1.0 / denom)
+def _relative_l2(y_hat: np.ndarray, y: np.ndarray, name: str):
+    """The relative L2 of y_hat against y in y_hat's dtype, and the map
+    from its gradient to that at y_hat."""
+    dtype = y_hat.dtype.type
+    inv = dtype(1.0 / _target_norm(y, name))
+    diff = y_hat - np.asarray(y, dtype=y_hat.dtype)
+    norm = np.sqrt((diff * diff).sum())
+
+    def backward(g):
+        d = diff * (g * inv * 0.5 / norm)
+        d += d
+        return d
+
+    return norm * inv, backward
 
 
-def composite_loss_t(drag: Tensor, pressure: Tensor, velocity: Tensor,
-                     record: SampleRecord, weights: LossWeights
-                     ) -> tuple[Tensor, dict]:
-    """Differentiable composite loss of predictions against one
-    (normalized) sample. Returns the loss Tensor and its components as
-    floats."""
+def composite_loss(drag: np.ndarray, pressure: np.ndarray,
+                   velocity: np.ndarray, record: SampleRecord,
+                   weights: LossWeights):
+    """The composite loss of predictions against one (normalized) sample,
+    in their dtype. Returns (total, components as floats, backward);
+    backward maps the gradient at total to (d drag, d pressure,
+    d velocity)."""
     sample = f"sample {record.id!r}:"
-    loss_p = _relative_l2_t(pressure, record.pressure, f"{sample} pressure target")
-    loss_v = _relative_l2_t(velocity, record.velocity, f"{sample} velocity target")
-    d = ad.sub(drag, float(record.drag))
-    loss_cd = ad.mul(d, d)
-    total = ad.add(ad.add(ad.mul(loss_v, weights.velocity),
-                          ad.mul(loss_p, weights.pressure)),
-                   ad.mul(loss_cd, weights.drag))
-    components = {"loss_v": float(loss_v.value), "loss_p": float(loss_p.value),
-                  "loss_cd": float(loss_cd.value)}
-    return total, components
+    loss_p, pressure_backward = _relative_l2(
+        pressure, record.pressure, f"{sample} pressure target")
+    loss_v, velocity_backward = _relative_l2(
+        velocity, record.velocity, f"{sample} velocity target")
+    dtype = pressure.dtype.type
+    w_v, w_p, w_cd = (dtype(w) for w in (weights.velocity, weights.pressure,
+                                         weights.drag))
+    d = drag - dtype(record.drag)
+    loss_cd = d * d
+    total = loss_v * w_v + loss_p * w_p + loss_cd * w_cd
+    components = {"loss_v": float(loss_v), "loss_p": float(loss_p),
+                  "loss_cd": float(loss_cd)}
+
+    def backward(g):
+        d_drag = g * w_cd * d
+        return (d_drag + d_drag, pressure_backward(g * w_p),
+                velocity_backward(g * w_v))
+
+    return total, components, backward
 
 
-def _loss_graph(state: ModelState, record: SampleRecord, weights: LossWeights,
-                params_t: dict | None = None) -> tuple[Tensor, dict]:
-    return composite_loss_t(*forward_graph(state, record.surface,
-                                           record.volume, params_t),
-                            record, weights)
+def _loss(state: ModelState, record: SampleRecord,
+          weights: LossWeights) -> float:
+    """The composite loss of one normalized sample, by the inference
+    forward."""
+    drag, pressure, velocity, _ = forward_graph(state, record.surface,
+                                                record.volume)
+    return float(composite_loss(drag, pressure, velocity, record,
+                                weights)[0])
 
 
 @dataclass
@@ -118,12 +140,24 @@ def adam_step(params: Params, grads: Params, moments: AdamState,
         raise FloatingPointError(f"non-finite gradient for tensor {bad!r}")
     moments.t += 1
     b1, b2 = config.beta1, config.beta2
-    g = grads.flat
-    m = moments.m = b1 * moments.m + (1 - b1) * g
-    v = moments.v = b2 * moments.v + (1 - b2) * g * g
-    m_hat = m / (1 - b1 ** moments.t)
-    v_hat = v / (1 - b2 ** moments.t)
-    params.flat -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    g, m, v = grads.flat, moments.m, moments.v
+    # b1*m + (1 - b1)*g, b2*v + (1 - b2)*g*g and
+    # lr*m_hat/(sqrt(v_hat) + eps), each rounding as numpy rounds the
+    # expression, in place and in two scratch arrays
+    step, scale = np.empty_like(g), np.empty_like(g)
+    m *= b1
+    m += np.multiply(g, 1 - b1, out=step)
+    v *= b2
+    np.multiply(g, 1 - b2, out=step)
+    step *= g
+    v += step
+    np.divide(m, 1 - b1 ** moments.t, out=step)
+    step *= config.learning_rate
+    np.divide(v, 1 - b2 ** moments.t, out=scale)
+    np.sqrt(scale, out=scale)
+    scale += config.eps
+    step /= scale
+    params.flat -= step
 
 
 @dataclass
@@ -138,18 +172,24 @@ class TrainResult:
 def loss_and_grads(state: ModelState, record: SampleRecord,
                    weights: LossWeights) -> tuple[dict, Params]:
     """The composite loss of one normalized sample (its components and
-    loss_total) and its gradient, which the backward adds into each
-    parameter's view of one zeroed array (zero where unreached)."""
-    grads = Params(state.params.layout, np.zeros_like(state.params.flat))
-    params_t = {}
-    for name, arr in state.params.items():
-        params_t[name] = t = Tensor(arr, requires_grad=True)
-        t.grad = grads[name]
-    loss, components = _loss_graph(state, record, weights, params_t)
-    if not np.isfinite(loss.value):
+    loss_total) and its gradient, a Params over one zeroed array (zero
+    where unreached). The loss is one autodiff node over a leaf holding
+    params.flat, whose gradient is that array: the node's backward runs
+    the model's hand-derived backward, which adds each parameter's
+    gradient into its view."""
+    drag, pressure, velocity, model_backward = forward_graph(
+        state, record.surface, record.volume, keep=True)
+    total, components, loss_backward = composite_loss(
+        drag, pressure, velocity, record, weights)
+    if not np.isfinite(total):
         raise FloatingPointError(f"non-finite loss on sample {record.id!r}")
+    leaf = Tensor(state.params.flat, requires_grad=True)
+    leaf.grad = np.zeros_like(state.params.flat)
+    grads = Params(state.params.layout, leaf.grad)
+    loss = Tensor(total, parents=(leaf,), backward=lambda g: model_backward(
+        *loss_backward(g), grads))
     loss.backward()
-    components["loss_total"] = float(loss.value)
+    components["loss_total"] = float(total)
     return components, grads
 
 
@@ -209,8 +249,7 @@ def train(records: list[SampleRecord], model_config: ModelConfig,
         score = epoch_losses[-1]
         if val_normed:
             val_losses.append(float(np.mean(
-                [float(_loss_graph(state, r, train_config.weights)[0].value)
-                 for r in val_normed])))
+                [_loss(state, r, train_config.weights) for r in val_normed])))
             score = val_losses[-1]
         if score < best:
             best = score
@@ -268,7 +307,7 @@ def grad_check(tolerance: float = 1e-5, seed: int = 1234) -> GradCheckReport:
 
     def loss_at(i: int, value) -> float:
         flat[i] = value
-        return float(_loss_graph(state, record, weights)[0].value)
+        return _loss(state, record, weights)
 
     for i in range(flat.size):
         orig = flat[i]

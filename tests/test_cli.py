@@ -10,11 +10,11 @@ import pytest
 from aerosurrogate.cli import main
 from aerosurrogate.model import (CheckpointError, ModelConfig, init_model,
                                  load_checkpoint, save_checkpoint)
-from aerosurrogate.model import forward_graph
 from aerosurrogate.pointcloud import (load_dataset, load_sample, normalize,
                                       read_manifest)
-from aerosurrogate.training import LossWeights, composite_loss_t
+from aerosurrogate.training import LossWeights
 from aerosurrogate.sampling import read_index_file
+from tests.graph_oracle import loss_graph
 
 
 def run(argv, capsys=None):
@@ -441,9 +441,7 @@ class TestTrainReport:
         losses = []
         for rec in val_recs:
             r = normalize(rec, best.stats)
-            losses.append(float(composite_loss_t(
-                *forward_graph(best, r.surface, r.volume), r,
-                LossWeights())[0].value))
+            losses.append(float(loss_graph(best, r, LossWeights())[0].value))
         assert float(m[2]) == pytest.approx(np.mean(losses), rel=1e-5)
 
     def test_no_validation_line_without_val_split(self, tmp_path, capsys):

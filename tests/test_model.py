@@ -9,8 +9,8 @@ from operator import delitem, setitem
 import numpy as np
 import pytest
 
-from aerosurrogate.autodiff import Tensor
-from aerosurrogate.model import (ModelConfig, init_model, forward,
+from aerosurrogate import autodiff as ad
+from aerosurrogate.model import (ModelConfig, Params, init_model, forward,
                                  forward_graph, predict_denormalized,
                                  save_checkpoint, load_checkpoint,
                                  CheckpointError, _layout)
@@ -19,6 +19,7 @@ from aerosurrogate.pointcloud import (PointCloud, SampleFormatError,
 from aerosurrogate.datagen import ShapeSpec, generate_sample
 from aerosurrogate.physatt import LayerParams
 from aerosurrogate.rng import SplitMix64
+from tests.graph_oracle import flat_grads, forward_graph_t, leaves
 from tests.test_physatt import oracle_layer, oracle_layer_norm, oracle_gelu
 
 
@@ -153,31 +154,61 @@ class TestInferenceMemory:
 
     def test_outputs_have_no_graph(self):
         state = init_model(tiny_config(layers=2))
-        for out in forward_graph(state, *tiny_clouds()):
-            assert out._parents == ()
-            assert out._backward is None
-            assert not out.requires_grad
+        *outs, backward = forward_graph(state, *tiny_clouds())
+        assert backward is None
+        assert all(type(out) is np.ndarray for out in outs)
 
 
 class TestChunkedInference:
-    """forward runs each block in row chunks; a forward_graph with
-    parameters that require gradients runs them over all N at once."""
+    """forward runs each block in row chunks; forward_graph with keep, and
+    the oracle's graph with parameters that require gradients, run them
+    over all N at once."""
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_forward_equals_tracked_forward_graph(self, precision):
         state = init_model(ModelConfig(layers=2, channels=64, slices=16,
                                        heads=4, seed=2, precision=precision))
         surface, volume = tiny_clouds(n_s=3000, n_v=1100, seed=4)
-        params_t = {name: Tensor(a, requires_grad=True)
-                    for name, a in state.params.items()}
-        drag, pressure, velocity = forward_graph(state, surface, volume,
-                                                 params_t)
         pred = forward(state, surface, volume)
-        assert pred.drag == float(drag.value)
-        np.testing.assert_array_equal(pred.pressure,
-                                      pressure.value.astype(np.float64))
-        np.testing.assert_array_equal(pred.velocity,
-                                      velocity.value.astype(np.float64))
+        tracked = forward_graph_t(state, surface, volume, leaves(state))
+        kept = forward_graph(state, surface, volume, keep=True)[:3]
+        for drag, pressure, velocity in ([t.value for t in tracked], kept):
+            assert pred.drag == float(drag)
+            np.testing.assert_array_equal(pred.pressure,
+                                          pressure.astype(np.float64))
+            np.testing.assert_array_equal(pred.velocity,
+                                          velocity.astype(np.float64))
+
+
+class TestHandBackward:
+    """forward_graph's backward against the oracle, the model composed of
+    autodiff primitives; the loss cases are in test_training."""
+
+    def test_no_volume_bit_equal_and_velocity_head_zero(self):
+        state = init_model(ModelConfig(layers=2, channels=64, slices=16,
+                                       heads=4, seed=2, precision="f32"))
+        surface, _ = tiny_clouds(n_s=512, seed=5)
+        # the loss sum(r * pressure) + c * drag has gradients r and c there
+        r = np.random.default_rng(6).normal(size=512).astype(np.float32)
+        c = np.float32(0.3)
+        params_t = leaves(state)
+        drag_t, pressure_t, velocity_t = forward_graph_t(state, surface, None,
+                                                         params_t)
+        assert velocity_t is None
+        ad.add(ad.sum_(ad.mul(pressure_t, r)), ad.mul(drag_t, c)).backward()
+
+        drag, pressure, velocity, backward = forward_graph(state, surface,
+                                                           None, keep=True)
+        assert velocity is None
+        assert drag.tobytes() == drag_t.value.tobytes()
+        assert pressure.tobytes() == pressure_t.value.tobytes()
+        grads = Params(state.params.layout, np.zeros_like(state.params.flat))
+        backward(c, r, None, grads)
+        assert grads.flat.tobytes() == flat_grads(state, params_t).tobytes()
+        velocity_head = [n for n in grads if n.startswith("head.velocity.")]
+        assert len(velocity_head) == 4
+        for name in velocity_head:
+            assert grads[name].tobytes() == bytes(grads[name].nbytes), name
 
 
 class TestPredictDenormalized:

@@ -5,13 +5,14 @@ checkpoint tensors are float32, and with "f64" they are float64."""
 import numpy as np
 import pytest
 
-from aerosurrogate.autodiff import Tensor
 from aerosurrogate.datagen import DatasetSpec, generate_records
 from aerosurrogate.model import (ModelConfig, forward_graph, init_model,
                                  load_checkpoint, save_checkpoint)
 from aerosurrogate.pointcloud import compute_stats, normalize
 from aerosurrogate.training import (AdamState, LossWeights, TrainConfig,
-                                    _loss_graph, loss_and_grads, train_step)
+                                    composite_loss, loss_and_grads,
+                                    train_step)
+from tests.graph_oracle import forward_graph_t, leaves, loss_graph
 
 PRECISIONS = [("f32", np.float32), ("f64", np.float64)]
 
@@ -35,14 +36,17 @@ def test_outputs_loss_and_every_gradient(records, precision, dtype):
     stats, normed = records
     state = make_state(precision, stats)
     rec = normed[0]
-    tracked = {name: Tensor(arr, requires_grad=True)
-               for name, arr in state.params.items()}
-    for params_t in (None, tracked):
-        outs = forward_graph(state, rec.surface, rec.volume, params_t)
-        assert [o.value.dtype for o in outs] == [dtype] * 3
-        loss, _ = _loss_graph(state, rec, LossWeights(), params_t)
-        assert loss.value.dtype == dtype
-    # the loss reaches every parameter
+    for keep in (False, True):
+        *outs, _ = forward_graph(state, rec.surface, rec.volume, keep)
+        assert [o.dtype for o in outs] == [dtype] * 3
+        loss, _, _ = composite_loss(*outs, rec, LossWeights())
+        assert loss.dtype == dtype
+    # in the oracle's graph too, and its loss reaches every parameter
+    tracked = leaves(state)
+    outs = forward_graph_t(state, rec.surface, rec.volume, tracked)
+    assert [o.value.dtype for o in outs] == [dtype] * 3
+    loss, _ = loss_graph(state, rec, LossWeights(), tracked)
+    assert loss.value.dtype == dtype
     loss.backward()
     for name, t in tracked.items():
         assert t.grad is not None, name

@@ -7,14 +7,14 @@ import pytest
 
 from aerosurrogate.autodiff import Tensor
 from aerosurrogate.datagen import DatasetSpec, generate_records
-from aerosurrogate.model import (ModelConfig, Params, forward_graph,
-                                 init_model, load_checkpoint)
+from aerosurrogate.model import ModelConfig, Params, init_model, load_checkpoint
 from aerosurrogate.physatt import Slot
 from aerosurrogate.pointcloud import compute_stats, normalize
 from aerosurrogate.training import (
     AdamState, DegenerateTargetError, GradCheckReport, LossWeights,
-    TrainConfig, _loss_graph, adam_step, composite_loss_t, grad_check,
-    loss_and_grads, relative_l2, train, train_step, write_loss_csv)
+    TrainConfig, adam_step, composite_loss, grad_check, loss_and_grads,
+    relative_l2, train, train_step, write_loss_csv)
+from tests.graph_oracle import loss_and_grads_t, loss_graph
 from tests.test_pointcloud import make_record
 
 
@@ -42,16 +42,14 @@ def oracle_total_loss(pred_drag, pred_pressure, pred_velocity, truth, weights):
     return loss, grads
 
 
-def graph_loss(pred_drag, pred_pressure, pred_velocity, truth, weights):
-    """composite_loss_t's value and its gradients with respect to the
+def hand_loss(pred_drag, pred_pressure, pred_velocity, truth, weights):
+    """composite_loss's value and its gradients with respect to the
     predictions, in the oracle's layout."""
-    preds = {"drag": Tensor(np.float64(pred_drag), requires_grad=True),
-             "pressure": Tensor(pred_pressure.copy(), requires_grad=True),
-             "velocity": Tensor(pred_velocity.copy(), requires_grad=True)}
-    loss, _ = composite_loss_t(preds["drag"], preds["pressure"],
-                               preds["velocity"], truth, weights)
-    loss.backward()
-    return float(loss.value), {k: t.grad for k, t in preds.items()}
+    loss, _, backward = composite_loss(np.asarray(np.float64(pred_drag)),
+                                       pred_pressure, pred_velocity, truth,
+                                       weights)
+    grads = backward(np.ones((), np.float64))
+    return float(loss), dict(zip(("drag", "pressure", "velocity"), grads))
 
 
 class TestRelativeL2:
@@ -82,17 +80,16 @@ class TestRelativeL2:
 class TestTotalLoss:
     def test_perfect_prediction_zero(self):
         rec = make_record()
-        preds = (Tensor(np.float64(rec.drag)), Tensor(rec.pressure),
-                 Tensor(rec.velocity))
-        loss, _ = composite_loss_t(*preds, rec, LossWeights())
-        assert float(loss.value) == 0.0
+        loss, _, _ = composite_loss(np.asarray(rec.drag), rec.pressure,
+                                    rec.velocity, rec, LossWeights())
+        assert float(loss) == 0.0
 
     def test_drag_only(self):
         rec = make_record(drag=0.3)
         w = LossWeights(velocity=0.0, pressure=0.0, drag=1.0)
         pred_p = rec.pressure + 0.1
         pred_v = rec.velocity - 0.1
-        loss, grads = graph_loss(0.4, pred_p, pred_v, rec, w)
+        loss, grads = hand_loss(0.4, pred_p, pred_v, rec, w)
         assert loss == pytest.approx(0.01, abs=1e-12)
         assert grads["drag"] == pytest.approx(0.2, abs=1e-12)
         want_loss, want = oracle_total_loss(0.4, pred_p, pred_v, rec, w)
@@ -107,7 +104,7 @@ class TestTotalLoss:
         pred_v = rec.velocity + rng.normal(size=rec.velocity.shape) * 0.1
         pred_d = rec.drag + 0.05
         w = LossWeights(velocity=0.7, pressure=1.3, drag=0.2)
-        loss, _ = graph_loss(pred_d, pred_p, pred_v, rec, w)
+        loss, _ = hand_loss(pred_d, pred_p, pred_v, rec, w)
         expected = (0.7 * np.linalg.norm(pred_v - rec.velocity)
                     / np.linalg.norm(rec.velocity)
                     + 1.3 * np.linalg.norm(pred_p - rec.pressure)
@@ -119,7 +116,7 @@ class TestTotalLoss:
 
     def test_gradients_match_finite_differences(self):
         # the oracle's gradients against central differences of its value,
-        # then the graph's gradients against the oracle's
+        # then composite_loss's gradients against the oracle's
         rec = make_record(seed=6)
         rng = np.random.default_rng(7)
         pred_p = rec.pressure + rng.normal(size=rec.pressure.shape) * 0.2
@@ -144,7 +141,7 @@ class TestTotalLoss:
                   - loss_at(pred_d, p_dn, pred_v)) / (2 * h)
             assert want["pressure"][i] == pytest.approx(fd, rel=1e-5)
 
-        _, grads = graph_loss(pred_d, pred_p, pred_v, rec, w)
+        _, grads = hand_loss(pred_d, pred_p, pred_v, rec, w)
         assert float(grads["drag"]) == pytest.approx(want["drag"], abs=1e-12)
         for key in ("pressure", "velocity"):
             np.testing.assert_allclose(grads[key], want[key], atol=1e-12)
@@ -351,9 +348,7 @@ class TestTrainLoop:
         assert res.best_epoch != int(np.argmin(res.epoch_losses))
         best = load_checkpoint(tmp_path / "checkpoint_best.bin")
         val = [normalize(r, best.stats) for r in recs[2:]]
-        losses = [float(composite_loss_t(
-            *forward_graph(best, r.surface, r.volume), r, weights)[0].value)
-            for r in val]
+        losses = [float(loss_graph(best, r, weights)[0].value) for r in val]
         assert np.mean(losses) == pytest.approx(min(res.val_losses), rel=1e-12)
 
     def test_without_validation_training_loss_picks_best(self):
@@ -389,26 +384,51 @@ class TestLossAndGrads:
             assert g.shape == state.params[name].shape, name
             assert g.dtype == state.params[name].dtype, name
             np.testing.assert_array_equal(state.params[name], before[name])
-        loss, parts = composite_loss_t(
-            *forward_graph(state, rec.surface, rec.volume), rec, LossWeights())
+        loss, parts = loss_graph(state, rec, LossWeights())
         assert components == {**parts, "loss_total": float(loss.value)}
 
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_arena_bit_equal_to_per_leaf_assembly(self, precision):
-        # the assembly loss_and_grads replaced: leaves that own their
-        # gradients, concatenated afterwards, zero where unreached
+        # the oracle: the model and loss composed of autodiff primitives,
+        # whose leaves own their gradients, concatenated afterwards, zero
+        # where unreached
         state, records = desk_model(precision)
-        _, grads = loss_and_grads(state, records[0], LossWeights())
-        params_t = {name: Tensor(arr, requires_grad=True)
-                    for name, arr in state.params.items()}
-        loss, _ = _loss_graph(state, records[0], LossWeights(), params_t)
-        loss.backward()
-        old = np.concatenate(
-            [(t.grad if t.grad is not None else np.zeros_like(t.value))
-             .reshape(-1) for t in params_t.values()],
-            dtype=state.params.flat.dtype)
-        assert grads.flat.dtype == old.dtype
-        assert grads.flat.tobytes() == old.tobytes()
+        for rec in records:
+            components, grads = loss_and_grads(state, rec, LossWeights())
+            loss, want = loss_and_grads_t(state, rec, LossWeights())
+            assert components["loss_total"] == loss
+            assert grads.flat.dtype == want.dtype
+            assert grads.flat.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("change", [{"geom_width": 3}, {"layers": 1},
+                                        {"layers": 3}],
+                             ids=["geom_width=3", "layers=1", "layers=3"])
+    def test_bit_equal_to_oracle_across_configs(self, change):
+        state, records = desk_model("f32")
+        state = init_model(dataclasses.replace(state.config, **change),
+                           state.stats)
+        components, grads = loss_and_grads(state, records[1], LossWeights())
+        loss, want = loss_and_grads_t(state, records[1], LossWeights())
+        assert components["loss_total"] == loss
+        assert grads.flat.tobytes() == want.tobytes()
+
+    def test_one_loss_node_over_one_leaf(self, monkeypatch):
+        # the model and the loss build no graph: the only Tensors of a
+        # step are the loss node and the leaf holding params.flat
+        state, rec = self.make("f32")
+        made = []
+        init = Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        loss_and_grads(state, rec, LossWeights())
+        assert len(made) == 2
+        loss, leaf = sorted(made, key=lambda t: t.value.ndim)
+        assert leaf.value is state.params.flat
+        assert loss.value.ndim == 0
 
     def test_train_step_steps_on_its_gradients(self):
         state, rec = self.make("f64")
