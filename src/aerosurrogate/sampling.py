@@ -17,8 +17,6 @@ from .rng import SplitMix64
 _DEGENERATE_EIG_SUM = 1e-18
 _ROWS = 256                 # rows of a spatial block of the k-NN
 _DISTANCES = 2 ** 18        # squared distances the k-NN holds at once
-_SLACK = 2.0 ** -40         # rounding slack of the window proof, relative
-_UNDERFLOW = 2.0 ** -1000   # and absolute, for rounding below normal floats
 
 
 @dataclass(frozen=True)
@@ -46,26 +44,26 @@ class SamplingConfig:
                              "voxel ids (x*G + y)*G + z fit in int64")
 
 
-def _select(pos, sq, rows, k, cand=None):
+def _select(pos, rows, k, cand=None):
     """The k+1 nearest to each point of `rows` among the points `cand`
     (ascending indices; all points if None), as column numbers in
     (distance, index) order, and each row's rank-k squared distance.
 
+    Each squared distance is (dx^2 + dy^2) + dz^2 of the per-axis
+    differences, so it is the same float in any chunk of rows or columns.
     argpartition finds the k+2 nearest and lexsort orders them, as a
     stable sort of the row would. A row whose rank-k and rank-(k+1)
-    distances tie (or are NaN) is sorted in full, so tied neighbours
-    still go by lower index."""
-    # BLAS computes a one-row product (gemv), and the last columns of a
-    # product when fewer than its kernel's width, in another order: with
-    # a second row, and a window padded to a multiple of 32 columns, each
-    # distance is bit-equal to the one in a full row of a larger product
-    gemm_rows = np.pad(rows, (0, int(len(rows) == 1)), mode="edge")
-    cols = slice(None) if cand is None else \
-        np.pad(cand, (0, -len(cand) % 32), mode="edge")
-    d2 = sq[rows, None] + sq[None, cols] \
-        - (2.0 * pos[gemm_rows] @ pos[cols].T)[:len(rows)]
-    if cand is not None:
-        d2 = d2[:, :len(cand)]
+    distances tie is sorted in full, so tied neighbours still go by
+    lower index."""
+    other = pos if cand is None else pos[cand]
+    d2 = np.subtract.outer(pos[rows, 0], other[:, 0])
+    d2 *= d2
+    scratch = np.empty_like(d2)
+    for axis in (1, 2):
+        np.subtract.outer(pos[rows, axis], other[:, axis], out=scratch)
+        scratch *= scratch
+        d2 += scratch
+    del scratch                                 # before argpartition's array
     kth = min(k + 1, d2.shape[1] - 1)
     part = np.argpartition(d2, kth, axis=1)[:, :k + 2]
     dist = np.take_along_axis(d2, part, axis=1)
@@ -73,22 +71,19 @@ def _select(pos, sq, rows, k, cand=None):
     order = np.take_along_axis(part, by, axis=1)[:, :k + 1]
     dist = np.take_along_axis(dist, by, axis=1)
     del part                                    # free argpartition's array
-    tie = ~(dist[:, k] < dist[:, kth])          # or NaN, or only k+1 columns
+    tie = ~(dist[:, k] < dist[:, kth])          # or only k+1 columns
     if tie.any():
         order[tie] = np.argsort(d2[tie], axis=1, kind="stable")[:, :k + 1]
     return order, dist[:, k]
 
 
-def _full_rows(pos, sq, rows, k):
-    """Per chunk of `rows`, yield (the rows, their k-NN indices), every
-    point a candidate. A cloud of fewer than 4 * _ROWS points is one
-    product, as an all-pairs search in chunks of 2_000_000 // N rows has
-    it; a larger one takes _DISTANCES // N rows at a time."""
-    n = len(pos)
-    chunk = n if n < 4 * _ROWS else max(1, _DISTANCES // n)
+def _full_rows(pos, rows, k):
+    """Per chunk of _DISTANCES // N of `rows`, yield (the rows, their k-NN
+    indices), every point a candidate."""
+    chunk = max(1, _DISTANCES // len(pos))
     for start in range(0, len(rows), chunk):
         part = rows[start:start + chunk]
-        order, _ = _select(pos, sq, part, k)
+        order, _ = _select(pos, part, k)
         yield part, order[:, 1:]                # skip the point itself
 
 
@@ -101,7 +96,7 @@ def _morton(pos, lo, extent):
     return code
 
 
-def _window_rows(pos, sq, k):
+def _window_rows(pos, k):
     """Per chunk of a spatial block's rows, yield (the rows, their k-NN
     indices) for the rows whose window proof holds; return the rows it
     does not hold for."""
@@ -122,7 +117,6 @@ def _window_rows(pos, sq, k):
     axis = int(np.argmax(hi - lo))          # candidates come from a slab
     by_axis = np.argsort(pos[:, axis], kind="stable")
     in_axis = pos[by_axis]
-    slack = _SLACK * sq.max() + _UNDERFLOW
     span = np.arange(2 * (k + 2))
     cuts = list(range(0, n - _ROWS // 2, _ROWS)) + [n]  # 128 to 384 rows
     unproved = []
@@ -152,8 +146,8 @@ def _window_rows(pos, sq, k):
         parts = -(-len(rows) * len(cand) // _DISTANCES)
         for part, part_gap2 in zip(np.array_split(rows, parts),
                                    np.array_split(gap2, parts)):
-            order, dist_k = _select(pos, sq, part, k, cand)
-            proved = dist_k + slack + _SLACK * part_gap2 < part_gap2
+            order, dist_k = _select(pos, part, k, cand)
+            proved = dist_k < part_gap2
             yield part[proved], cand[order[proved, 1:]]
             unproved.append(part[~proved])
     return np.concatenate(unproved)
@@ -163,42 +157,35 @@ def _knn_chunks(pos: np.ndarray, k: int):
     """Per chunk of rows, yield (the rows, their k-NN indices).
 
     Each row gets the k points after itself in the order a stable sort of
-    its row of squared distances sq[i] + sq[j] - 2 p_i.p_j over all
-    points would give, holding about _DISTANCES distances at once.
+    its row of squared distances (see _select) over all points would
+    give, holding about _DISTANCES distances at once.
 
-    A cloud of at least 4 * _ROWS points whose |p|^2 are finite is
-    searched over spatial blocks when k + 2 <= _ROWS // 2, the fewest
-    rows of a block, each of them one of its candidates. Rows are sorted
-    by Morton code and cut into blocks of _ROWS rows (the last one 128 to
-    384). Each row's (k+2)-th neighbour distance r is
-    bounded from the rows around it in that order and in a shifted one.
-    A block's candidates are the points inside its window, the box
-    [min(p - r), max(p + r)] over its rows. A row is kept only if a proof
-    holds: its rank-k candidate distance plus the slack
-    _SLACK * (max|p|^2 + gap^2) + _UNDERFLOW is strictly below its
-    squared gap to the window's boundary. Then every
-    point outside the window comes after its k nearest: the distance
-    expression is exact to a few units of rounding of max|p|^2, the gap
-    to one of its own, and the slack covers both many times over. Every
-    other row, and every row of a smaller cloud, of a larger k or of a
-    cloud whose |p|^2 overflows, is selected with all points as
-    candidates by the same routine.
-
-    The order is not bit-identical to an all-pairs search in general. A
-    window's distances are bit-equal to a full row's, except those to the
-    last N mod 8 points, which BLAS computes by another kernel whose last
-    bit depends on the product's shape. So two neighbours whose distances
-    tie to the last bit, one of them among those points, can come in
-    another order (one row of a shuffled 13^3 lattice of step 0.1 at
-    k = 8).
+    A cloud of at least 4 * _ROWS points with a finite extent is searched
+    over spatial blocks when k + 2 <= _ROWS // 2, the fewest rows of a
+    block, each of them one of its candidates. Rows are sorted by Morton
+    code and cut into blocks of _ROWS rows (the last one 128 to 384).
+    Each row's (k+2)-th neighbour distance r is bounded from the rows
+    around it in that order and in a shifted one. A block's candidates
+    are the points inside its window, the box [min(p - r), max(p + r)]
+    over its rows. A row is kept only if its rank-k candidate distance is
+    strictly below gap2, the square of its gap to the window's boundary;
+    then every point outside the window comes after its k nearest.
+    Rounding is monotone, so on an axis where a point lies outside the
+    window, the row's computed difference to it is at least the computed
+    gap in size (the window test and the gap use the same floats box_lo
+    and box_hi), and its square at least gap2; and fl(a + b) >= a for
+    b >= 0, so its squared distance is at least gap2 as well. Every other
+    row, and every row of a smaller cloud, of a larger k or of a cloud
+    whose extent overflows, is selected with all points as candidates by
+    the same routine.
     """
     n = pos.shape[0]
-    sq = np.einsum("ij,ij->i", pos, pos)
     rest = np.arange(n)
-    if n >= 4 * _ROWS and k + 2 <= _ROWS // 2 and np.isfinite(sq).all():
-        rest = yield from _window_rows(pos, sq, k)
+    if n >= 4 * _ROWS and k + 2 <= _ROWS // 2 \
+            and np.isfinite(pos.max(axis=0) - pos.min(axis=0)).all():
+        rest = yield from _window_rows(pos, k)
     if len(rest):
-        yield from _full_rows(pos, sq, rest, k)
+        yield from _full_rows(pos, rest, k)
 
 
 def estimate_curvature(cloud: PointCloud, k: int = 16) -> np.ndarray:
@@ -212,8 +199,7 @@ def estimate_curvature(cloud: PointCloud, k: int = 16) -> np.ndarray:
     same order. It is searched over spatial blocks, in about linear time
     on a surface, with at most _DISTANCES distances held at once; a row
     the block search cannot prove exact is searched over all points
-    (see _knn_chunks, also for the one kind of last-bit tie whose order
-    can differ from an all-pairs search).
+    (see _knn_chunks).
     """
     pos = cloud.positions
     n = pos.shape[0]

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from aerosurrogate.cli import main
+from aerosurrogate.datagen import DatasetSpec, generate_records
 from aerosurrogate.model import (CheckpointError, ModelConfig, init_model,
                                  load_checkpoint, save_checkpoint)
-from aerosurrogate.pointcloud import (load_dataset, load_sample, normalize,
-                                      read_manifest)
+from aerosurrogate.pointcloud import (PointCloud, load_dataset, load_sample,
+                                      normalize, read_manifest, save_sample)
 from aerosurrogate.training import LossWeights
 from aerosurrogate.sampling import read_index_file
 from tests.graph_oracle import loss_graph
@@ -166,6 +167,24 @@ class TestSample:
         np.testing.assert_array_equal(reduced.surface.positions,
                                       full.surface.positions[idx])
         np.testing.assert_array_equal(reduced.pressure, full.pressure[idx])
+
+    def test_shifted_copy_picks_the_same_points(self, tmp_path):
+        # the file's raw coordinates are sampled: a copy 1e6 away from the
+        # origin keeps every adaptive pick
+        rec = generate_records(DatasetSpec(n_samples=1, n_surface=2048,
+                                           n_volume=8, seed=1))[0]
+        def move(cloud):
+            return PointCloud(cloud.positions + 1e6, cloud.normals, cloud.role)
+        shifted = dataclasses.replace(rec, surface=move(rec.surface),
+                                      volume=move(rec.volume))
+        picks = []
+        for name, record in (("near", rec), ("far", shifted)):
+            save_sample(record, tmp_path / name)
+            out = tmp_path / f"{name}_reduced"
+            assert run(["sample", "--method", "adaptive", "--n", "512",
+                        "--in", str(tmp_path / name), "--out", str(out)]) == 0
+            picks.append((out / "indices.txt").read_bytes())
+        assert picks[0] == picks[1]
 
 
     @staticmethod
