@@ -296,6 +296,8 @@ def _load_cloud(path: Path, role: str) -> PointCloud:
         raise SampleFormatError(f"{path}:1: N must be >= 1, got {n}")
     if has_normals not in (0, 1):
         raise SampleFormatError(f"{path}:1: has_normals must be 0 or 1")
+    if has_normals and role == "volume":
+        raise SampleFormatError(f"{path}:1: volume points must not carry normals")
     if c_u != 0:
         raise SampleFormatError(
             f"{path}:1: C_u must be 0 (feature columns are not read)")
@@ -314,13 +316,6 @@ def _load_cloud(path: Path, role: str) -> PointCloud:
         raise SampleFormatError(f"{path}: {e}") from None
 
 
-def _load_volume(path: Path) -> PointCloud:
-    volume = _load_cloud(path, "volume")
-    if volume.normals is not None:
-        raise SampleFormatError(f"{path}: volume points must not carry normals")
-    return volume
-
-
 def load_geometry(path) -> tuple[PointCloud, PointCloud | None]:
     """The clouds of a sample directory without its targets: surface.txt,
     and volume.txt when present (else None). This is all a prediction
@@ -328,14 +323,15 @@ def load_geometry(path) -> tuple[PointCloud, PointCloud | None]:
     path = Path(path)
     surface = _load_cloud(path / "surface.txt", "surface")
     volume_path = path / "volume.txt"
-    return surface, _load_volume(volume_path) if volume_path.exists() else None
+    return surface, (_load_cloud(volume_path, "volume")
+                     if volume_path.exists() else None)
 
 
 def load_sample(path) -> SampleRecord:
     """Load one sample directory into a validated SampleRecord."""
     path = Path(path)
     surface = _load_cloud(path / "surface.txt", "surface")
-    volume = _load_volume(path / "volume.txt")
+    volume = _load_cloud(path / "volume.txt", "volume")
     pressure = _read_rows(path / "pressure.txt", surface.n_points, 1)[:, 0]
     velocity = _read_rows(path / "velocity.txt", volume.n_points, 3)
     drag = _read_rows(path / "cd.txt", 1, 1)[0, 0]

@@ -44,17 +44,10 @@ class SamplingConfig:
                              "voxel ids (x*G + y)*G + z fit in int64")
 
 
-def _select(pos, rows, k, cand=None):
-    """The k+1 nearest to each point of `rows` among the points `cand`
-    (ascending indices; all points if None), as column numbers in
-    (distance, index) order, and each row's rank-k squared distance.
-
-    Each squared distance is (dx^2 + dy^2) + dz^2 of the per-axis
-    differences, so it is the same float in any chunk of rows or columns.
-    argpartition finds the k+2 nearest and lexsort orders them, as a
-    stable sort of the row would. A row whose rank-k and rank-(k+1)
-    distances tie is sorted in full, so tied neighbours still go by
-    lower index."""
+def _sq_distances(pos, rows, cand=None):
+    """(dx^2 + dy^2) + dz^2 of the per-axis differences from each point of
+    `rows` to each point of `cand` (all points if None), so each squared
+    distance is the same float in any chunk of rows or columns."""
     other = pos if cand is None else pos[cand]
     d2 = np.subtract.outer(pos[rows, 0], other[:, 0])
     d2 *= d2
@@ -63,7 +56,19 @@ def _select(pos, rows, k, cand=None):
         np.subtract.outer(pos[rows, axis], other[:, axis], out=scratch)
         scratch *= scratch
         d2 += scratch
-    del scratch                                 # before argpartition's array
+    return d2
+
+
+def _select(pos, rows, k, cand=None):
+    """The k+1 nearest to each point of `rows` among the points `cand`
+    (ascending indices; all points if None), as column numbers in
+    (distance, index) order, and each row's rank-k squared distance.
+
+    The squared distances come from _sq_distances. argpartition finds the
+    k+2 nearest and lexsort orders them, as a stable sort of the row
+    would. A row whose rank-k and rank-(k+1) distances tie is sorted in
+    full, so tied neighbours still go by lower index."""
+    d2 = _sq_distances(pos, rows, cand)
     kth = min(k + 1, d2.shape[1] - 1)
     part = np.argpartition(d2, kth, axis=1)[:, :k + 2]
     dist = np.take_along_axis(d2, part, axis=1)
@@ -105,34 +110,23 @@ def _window_rows(pos, k):
     extent = np.where(hi > lo, hi - lo, 1.0)
     code = _morton(pos, lo, extent)
     by_code = np.argsort(code, kind="stable")
-    # a second Z-order, over a box shifted by a third of the extent, keeps
-    # together near points that the first one puts far apart
-    by_shift = np.argsort(_morton(pos, lo - extent / 3, extent * 4 / 3),
-                          kind="stable")
-    at_code = np.empty(n, dtype=np.int64)
-    at_shift = np.empty(n, dtype=np.int64)
-    at_code[by_code] = at_shift[by_shift] = np.arange(n)
-    shift_at_code = at_code[by_shift]
-    in_code, in_shift = pos[by_code], pos[by_shift]
+    code = code[by_code]
     axis = int(np.argmax(hi - lo))          # candidates come from a slab
     by_axis = np.argsort(pos[:, axis], kind="stable")
     in_axis = pos[by_axis]
-    span = np.arange(2 * (k + 2))
-    cuts = list(range(0, n - _ROWS // 2, _ROWS)) + [n]  # 128 to 384 rows
+    # cut within _ROWS // 4 of each multiple of _ROWS, where the largest
+    # octree cell there ends: at the highest code[i] ^ code[i - 1]
+    around = (np.arange(_ROWS, n - 3 * _ROWS // 4, _ROWS)[:, None]
+              + np.arange(-(_ROWS // 4), _ROWS // 4))
+    jump = code[around] ^ code[around - 1]
+    cuts = [0, *(around[:, 0] + np.argmax(jump, axis=1)), n]  # 129 to 512 rows
     unproved = []
     for start, stop in zip(cuts[:-1], cuts[1:]):
-        rows, p = by_code[start:stop], in_code[start:stop]
-        # radius: each row's (k+2)-th distance (itself first) among the
-        # 2(k+2) rows around it in each order, each point counted once
-        first = np.clip(np.arange(start, stop) - k - 2, 0, n - len(span))
-        other = np.clip(at_shift[rows] - k - 2, 0, n - len(span))
-        near = in_code[first[:, None] + span] - p[:, None]
-        d2 = np.einsum("ijk,ijk->ij", near, near)
-        near = in_shift[other[:, None] + span] - p[:, None]
-        d2_other = np.einsum("ijk,ijk->ij", near, near)
-        again = shift_at_code[other[:, None] + span] - first[:, None]
-        d2_other[(again >= 0) & (again < len(span))] = np.inf
-        radius = np.sqrt(np.partition(np.hstack([d2, d2_other]), k + 1,
+        rows = by_code[start:stop]
+        p = pos[rows]
+        # radius: each row's (k+2)-th distance (itself first) among its
+        # block's rows, which a subset of the points can only overestimate
+        radius = np.sqrt(np.partition(_sq_distances(pos, rows, rows), k + 1,
                                       axis=1)[:, k + 1])
         box_lo = (p - radius[:, None]).min(axis=0)
         box_hi = (p + radius[:, None]).max(axis=0)
@@ -161,13 +155,14 @@ def _knn_chunks(pos: np.ndarray, k: int):
     give, holding about _DISTANCES distances at once.
 
     A cloud of at least 4 * _ROWS points with a finite extent is searched
-    over spatial blocks when k + 2 <= _ROWS // 2, the fewest rows of a
-    block, each of them one of its candidates. Rows are sorted by Morton
-    code and cut into blocks of _ROWS rows (the last one 128 to 384).
-    Each row's (k+2)-th neighbour distance r is bounded from the rows
-    around it in that order and in a shifted one. A block's candidates
-    are the points inside its window, the box [min(p - r), max(p + r)]
-    over its rows. A row is kept only if its rank-k candidate distance is
+    over spatial blocks when k + 2 <= _ROWS // 2, fewer than the rows of
+    any block, all of which are among its candidates. Rows are sorted by
+    Morton code and cut into blocks of 129 to 512 rows, each cut within
+    _ROWS // 4 of a multiple of _ROWS where the octree cell changes. Each
+    row's (k+2)-th neighbour distance r is bounded from its own block's
+    rows, a subset of the points. A block's candidates are the points
+    inside its window, the box [min(p - r), max(p + r)] over its rows.
+    A row is kept only if its rank-k candidate distance is
     strictly below gap2, the square of its gap to the window's boundary;
     then every point outside the window comes after its k nearest.
     Rounding is monotone, so on an axis where a point lies outside the

@@ -346,6 +346,20 @@ class TestTrainPredictEvaluate:
         assert err.startswith("error: ") and "no normals" in err
         assert not (tmp_path / "pred").exists()
 
+    def test_volume_with_normals_is_refused_at_its_header(self, pipeline,
+                                                          tmp_path, capsys):
+        """The header alone refuses it: its 3-column rows are never read."""
+        _, data, _ = pipeline
+        sample_dir = data / read_manifest(data)["samples"][0]
+        bad = self.geometry_copy(sample_dir, tmp_path / "bad")
+        lines = (bad / "volume.txt").read_text().splitlines()
+        assert lines[0].split() == ["12", "0", "0"]
+        (bad / "volume.txt").write_text("\n".join(["12 0 1"] + lines[1:]) + "\n")
+        code, _, err = self.predict(pipeline, bad, tmp_path / "pred", capsys)
+        assert code == 1
+        assert f"{bad / 'volume.txt'}:1: " in err and "normals" in err
+        assert not (tmp_path / "pred").exists()
+
     def test_evaluate_outputs(self, pipeline):
         tmp_path, data, run_dir = pipeline
         out = tmp_path / "eval"

@@ -400,8 +400,9 @@ def block_clouds():
             fibonacci_sphere(2000),
             5e5 * (1 + 0.01 * rng.normal(size=(5, 3)))]), 16),
         "offset_surface": (ingest_surface(1).positions + 1e6, 16),
-        # squared distances below the normal range
-        "subnormal_box": (rng.uniform(size=(2048, 3)) * 1e-160, 16),
+        # squared distances a few ulps into the subnormal range, so that
+        # some rows tie with their window's boundary
+        "subnormal_box": (rng.uniform(size=(2048, 3)) * 1e-161, 16),
         "surface_4096": (generate_records(DatasetSpec(
             n_samples=1, n_surface=4096, n_volume=8, seed=1))[0]
             .surface.positions, 16),
@@ -409,8 +410,9 @@ def block_clouds():
 
 
 BLOCK_CLOUDS = block_clouds()
-# clouds on which some rows, but not all, fail the window proof (4, 2, 18
-# and 1 rows): a neighbour ties with the window's boundary
+# clouds on which some rows, but not all, fail the window proof (8 and 6
+# of 4096 rows, 95 of 3000, 130 of 2048): a neighbour ties with the
+# window's boundary
 FALLBACK_CLOUDS = ["integer_lattice", "decimal_lattice", "rounded_box",
                    "subnormal_box"]
 
@@ -463,7 +465,7 @@ class TestBlockSearch:
         the same float, so they come in the same order."""
         assert_curvature_matches_oracle(shuffled_lattice(13, 0.1), 8)
 
-    @pytest.mark.parametrize("n", [1000, 2048, 8192])
+    @pytest.mark.parametrize("n", [1000, 2048, 8192, 32768])
     def test_traced_peak_bounded(self, n):
         cloud = generate_records(DatasetSpec(n_samples=1, n_surface=n,
                                              n_volume=8, seed=1))[0].surface
@@ -474,6 +476,22 @@ class TestBlockSearch:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2 ** 20
+
+    @pytest.mark.parametrize("n, most", [(8192, 900), (32768, 1100)])
+    def test_distances_per_row_bounded(self, monkeypatch, n, most):
+        """Blocks cut where the octree cell changes keep each window near
+        its rows: few candidate distances per row on a surface."""
+        select, computed = sampling._select, []
+
+        def spy(pos, rows, k, cand=None):
+            computed.append(len(rows) * (len(pos) if cand is None
+                                         else len(cand)))
+            return select(pos, rows, k, cand)
+        monkeypatch.setattr(sampling, "_select", spy)
+        cloud = generate_records(DatasetSpec(n_samples=1, n_surface=n,
+                                             n_volume=8, seed=1))[0].surface
+        estimate_curvature(cloud, 16)
+        assert sum(computed) / n < most
 
 
 def neighbour_sets(points, k):
